@@ -9,15 +9,13 @@ every engine in the repository:
 * transitive closure from a bound source (chain and random graph),
 * same-generation (the classic non-linear Datalog example, linearized for SQL),
 * shortest path (Datalog engine with subsumption vs. graph-engine BFS),
-* the transitive-closure fixpoint with a cycle audit, comparing the Datalog
-  engine's compiled plans + incrementally maintained indexes against the
-  seed strategy (per-call planning, indexes invalidated on every insert).
+* the transitive-closure fixpoint with a cycle audit, asserting that no
+  index is rebuilt inside the loop.
 """
 
 from __future__ import annotations
 
 import random
-import time
 
 import pytest
 
@@ -110,75 +108,25 @@ def test_shortest_path_length(benchmark, graph_raqlet, graph_facts, graph_engine
 
 
 # The shared TC + cycle-audit workload: the ``cyclic`` rule probes the full
-# (growing) ``tc`` relation with a fully bound key every iteration.  With
-# incrementally maintained indexes each probe is O(1); with the seed
-# strategy the ``tc`` index is invalidated by every insert and rebuilt from
-# scratch once per iteration.
+# (growing) ``tc`` relation with a fully bound key every iteration.
 from tc_workload import tc_cycle_program, tc_fixpoint_facts
 
 
-def _run_tc_fixpoint(incremental, repeats=3):
-    """Run the fixpoint ``repeats`` times; return (best seconds, engine)."""
-    from repro.engines.datalog import DatalogEngine
-
-    program = tc_cycle_program()
-    facts = tc_fixpoint_facts()
-    best = float("inf")
-    engine = None
-    for _ in range(repeats):
-        # Pinned to the memory backend and the interpreted executor: this
-        # benchmark compares the memory store's two index strategies, so
-        # neither REPRO_STORE nor REPRO_EXECUTOR may redirect it (and the
-        # compiled executor would mask the per-probe cost being measured).
-        engine = DatalogEngine(
-            program,
-            facts,
-            incremental_indexes=incremental,
-            reuse_plans=incremental,
-            store="memory",
-            executor="interpreted",
-        )
-        started = time.perf_counter()
-        engine.run()
-        best = min(best, time.perf_counter() - started)
-    return best, engine
-
-
-def test_tc_fixpoint_compiled_plans_beat_seed_strategy():
-    """Compiled plans + incremental indexes are >= 2x the seed strategy.
-
-    The seed evaluator re-planned every rule application and dropped every
-    index of a relation on insert, which in a semi-naive fixpoint means one
-    full index rebuild per iteration.  This asserts the headline win on the
-    largest micro case (in practice the gap is ~10x; 2x keeps CI sturdy).
-    """
-    fast, fast_engine = _run_tc_fixpoint(incremental=True)
-    slow, slow_engine = _run_tc_fixpoint(incremental=False)
-    assert fast_engine.query("tc").same_rows(slow_engine.query("tc"))
-    assert fast_engine.query("cyclic").same_rows(slow_engine.query("cyclic"))
-    assert fast_engine.fact_count("cyclic") > 0  # the audit is not vacuous
-    assert fast * 2 <= slow, (
-        f"expected >=2x speedup, got {slow / fast:.2f}x "
-        f"(fast={fast * 1000:.1f}ms, slow={slow * 1000:.1f}ms)"
-    )
-
-
-def test_tc_fixpoint_builds_each_index_exactly_once():
+@pytest.mark.parametrize("store", ["memory", "sqlite"])
+def test_tc_fixpoint_builds_each_index_exactly_once(store):
     """No index rebuilds inside the fixpoint loop.
 
-    With incremental maintenance every ``(relation, positions)`` index is
-    constructed exactly once, so the store's build counter must equal its
-    index count after the whole fixpoint has run.  The seed strategy, by
-    contrast, rebuilds once per iteration.
+    Every ``(relation, positions)`` index is constructed exactly once and
+    maintained incrementally afterwards, so the store's build counter must
+    equal its index count after the whole fixpoint has run.
     """
-    _, engine = _run_tc_fixpoint(incremental=True, repeats=1)
-    store = engine.store
-    assert store.index_count > 0
-    assert store.index_build_count == store.index_count
+    from repro.engines.datalog import DatalogEngine
 
-    _, legacy_engine = _run_tc_fixpoint(incremental=False, repeats=1)
-    legacy_store = legacy_engine.store
-    assert legacy_store.index_build_count > legacy_store.index_count
+    engine = DatalogEngine(tc_cycle_program(), tc_fixpoint_facts(), store=store)
+    engine.run()
+    assert engine.fact_count("cyclic") > 0  # the audit is not vacuous
+    assert engine.store.index_count > 0
+    assert engine.store.index_build_count == engine.store.index_count
 
 
 def test_same_generation_datalog_vs_sqlite(benchmark, graph_raqlet):

@@ -86,56 +86,6 @@ def test_table1_execution_time(benchmark, bench_raqlet, bench_data, query_name, 
     benchmark.extra_info["rows"] = len(result)
 
 
-def test_table1_datalog_plan_cache_not_slower_than_seed_strategy(
-    bench_raqlet, bench_data
-):
-    """Before/after check for the Datalog engine's compiled-plan path.
-
-    Runs the optimized CQ2 program in both engine modes: the current one
-    (cached rule plans + incrementally maintained indexes) and the seed
-    strategy (per-call planning, indexes invalidated on insert).  The
-    results must agree, every index must be built exactly once, and the new
-    mode must not lose to the seed strategy.  This workload is mostly
-    non-recursive so the modes are near parity; the 1.5x headroom exists to
-    absorb scheduler/GC noise on shared CI runners, not to hide a
-    regression (the recursive win is asserted tightly in
-    ``test_recursion_micro.py``).
-    """
-    import time
-
-    from repro.engines.datalog import DatalogEngine
-
-    compiled = _compile(bench_raqlet, bench_data, "CQ2")
-    program = compiled.program(optimized=True)
-
-    def best_of(incremental, repeats=5):
-        best = float("inf")
-        engine = None
-        for _ in range(repeats):
-            # Pinned to the memory backend: this compares the memory store's
-            # index strategies (REPRO_STORE must not redirect it).
-            engine = DatalogEngine(
-                program,
-                bench_data.facts,
-                incremental_indexes=incremental,
-                reuse_plans=incremental,
-                store="memory",
-            )
-            started = time.perf_counter()
-            engine.run()
-            best = min(best, time.perf_counter() - started)
-        return best, engine
-
-    fast, fast_engine = best_of(True)
-    slow, slow_engine = best_of(False)
-    assert fast_engine.query().same_rows(slow_engine.query())
-    assert fast_engine.store.index_build_count == fast_engine.store.index_count
-    assert fast <= slow * 1.5, (
-        f"compiled plans regressed: new={fast * 1000:.1f}ms "
-        f"seed-strategy={slow * 1000:.1f}ms"
-    )
-
-
 def test_table1_optimization_reduces_rule_count(bench_raqlet, bench_data):
     """Sanity check behind Table 1: optimization shrinks both programs."""
     for query_name in ("SQ1", "CQ2"):

@@ -6,6 +6,8 @@ frontends, IRs, analyses and backends rely on:
 * :mod:`repro.common.errors` -- the exception hierarchy.
 * :mod:`repro.common.location` -- source locations and spans for diagnostics.
 * :mod:`repro.common.names` -- deterministic fresh-name generation.
+* :mod:`repro.common.semantics` -- the one definition of arithmetic,
+  comparison and aggregate semantics every in-repo evaluator shares.
 * :mod:`repro.common.text` -- small text-formatting helpers for unparsers.
 """
 

@@ -47,7 +47,7 @@ from repro.engines.datalog.executor_compiled import (
     RuleExecutor,
     create_executor,
 )
-from repro.engines.datalog.planner import PlanCache, RulePlan, plan_rule
+from repro.engines.datalog.planner import PlanCache, RulePlan
 from repro.engines.datalog.statistics import RelationStats, resolve_replan_threshold
 from repro.engines.datalog.storage import (
     DeltaView,
@@ -100,8 +100,6 @@ class DatalogEngine:
         program: DLIRProgram,
         facts: Optional[FactsInput] = None,
         *,
-        incremental_indexes: bool = True,
-        reuse_plans: bool = True,
         store: StoreSpec = None,
         executor: ExecutorSpec = None,
         replan_threshold: Optional[float] = None,
@@ -125,14 +123,10 @@ class DatalogEngine:
         # iteration, float("inf") = freeze first plans).  ``parameters``
         # binds the program's late-bound ``$name`` placeholders for this
         # evaluation (rebind with ``reset(parameters=...)``).
-        self._store = create_store(store, maintain_indexes=incremental_indexes)
+        self._store = create_store(store)
         self._executor = create_executor(executor)
         self._replan_threshold = resolve_replan_threshold(replan_threshold)
-        self._plans: Optional[PlanCache] = (
-            PlanCache(replan_threshold=self._replan_threshold)
-            if reuse_plans
-            else None
-        )
+        self._plans = PlanCache(replan_threshold=self._replan_threshold)
         self._params: Dict[str, object] = dict(parameters or {})
         self._evaluated = False
         self._iterations: Dict[str, int] = {}
@@ -203,19 +197,19 @@ class DatalogEngine:
     @property
     def replan_count(self) -> int:
         """Return how many cached plans were rebuilt because their
-        statistics basis drifted (0 with ``reuse_plans=False``)."""
-        return self._plans.replan_count if self._plans is not None else 0
+        statistics basis drifted."""
+        return self._plans.replan_count
 
     @property
     def plan_build_count(self) -> int:
         """Return how many plans were built from scratch (first builds plus
-        re-plans; 0 with ``reuse_plans=False``)."""
-        return self._plans.plan_build_count if self._plans is not None else 0
+        re-plans)."""
+        return self._plans.plan_build_count
 
     @property
     def stats_epoch(self) -> int:
         """Return the plan cache's statistics epoch (bumped per re-plan)."""
-        return self._plans.stats_epoch if self._plans is not None else 0
+        return self._plans.stats_epoch
 
     @property
     def parameters(self) -> Dict[str, object]:
@@ -463,12 +457,9 @@ class DatalogEngine:
         (``join_order`` — ``(relation, body position)`` pairs), the
         statistics the cost model consumed (``stats_basis``), the epoch the
         plan was (re)built in, its per-step fan-out estimates and total cost
-        estimate.  Machine-readable counterpart of :meth:`explain`; empty
-        with ``reuse_plans=False``.
+        estimate.  Machine-readable counterpart of :meth:`explain`.
         """
         self.run()
-        if self._plans is None:
-            return []
         report = []
         for plan in self._plans.plans():
             report.append(
@@ -517,8 +508,6 @@ class DatalogEngine:
         lines.append(
             f"  index_builds={store.index_build_count} indexes={store.index_count}"
         )
-        if not report:
-            lines.append("  (no cached plans: engine ran with reuse_plans=False)")
         for entry in report:
             delta = entry["delta_index"]
             delta_text = "full" if delta is None else f"delta@{delta}"
@@ -559,12 +548,8 @@ class DatalogEngine:
 
         ``stats`` is the iteration's statistics snapshot: it drives the
         cost-based join order and, through :class:`PlanCache`, the drift
-        check that re-plans a rule whose basis cardinalities moved.  With
-        ``reuse_plans=False`` every application plans afresh against current
-        statistics, so that mode is adaptive by construction.
+        check that re-plans a rule whose basis cardinalities moved.
         """
-        if self._plans is None:
-            return plan_rule(rule, self._store, delta_index, delta_size, stats=stats)
         return self._plans.plan_for(
             rule, self._store, delta_index, delta_size, stats=stats
         )
@@ -572,14 +557,14 @@ class DatalogEngine:
     def _stats_snapshot(self, relations: Sequence[str]) -> Dict[str, RelationStats]:
         """Snapshot cardinality/distinct statistics for ``relations``.
 
-        With ``replan_threshold=inf`` and a plan cache, drift checks never
+        With ``replan_threshold=inf`` drift checks never
         read the snapshot and only first builds consume statistics — and
         those backfill per-relation stats from the store on demand (see
         ``_atom_cost``).  Returning an empty snapshot there avoids paying a
         per-iteration aggregate scan per relation on the SQLite backend for
         numbers nothing would read.
         """
-        if self._plans is not None and self._replan_threshold == float("inf"):
+        if self._replan_threshold == float("inf"):
             return {}
         self.stats_snapshot_count += 1
         return self._store.stats_snapshot(relations)

@@ -14,10 +14,15 @@ This module is the engine's *reference* execution semantics and its
 fallback path; the default executor
 (:mod:`~repro.engines.datalog.executor_compiled`) instead source-generates
 one specialised closure per plan and batches index probes, and is held
-equivalent to this interpreter by the differential suite.
+equivalent to this interpreter by the differential suite.  What the
+operators and aggregate functions *mean* is not defined here but in
+:mod:`repro.common.semantics`, shared with every other evaluator.
 
-When no plan is supplied, one is built on the fly — callers that evaluate a
-rule repeatedly (the engine's fixpoint loop) pass cached plans instead.
+The engine reaches the interpreter through
+:class:`~repro.engines.datalog.executor_compiled.InterpretedExecutor`
+(:func:`evaluate_plan`); :func:`rule_solutions` is the binding-level entry
+the incremental maintainer uses, and builds a plan on the fly when none is
+supplied.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from collections import defaultdict
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import ExecutionError
+from repro.common.semantics import aggregate, arith, compare
 from repro.dlir.core import ArithExpr, Const, Param, Rule, Term, Var
 from repro.engines.datalog.planner import Guard, RulePlan, plan_rule
 from repro.engines.datalog.storage import DeltaView, StoreBackend
@@ -66,62 +72,8 @@ def evaluate_term(term: Term, bindings: Bindings):
     if isinstance(term, ArithExpr):
         left = evaluate_term(term.left, bindings)
         right = evaluate_term(term.right, bindings)
-        return _apply_arith(term.op, left, right)
+        return arith(term.op, left, right)
     raise ExecutionError(f"cannot evaluate term {term!r}")
-
-
-def _apply_arith(op: str, left, right):
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            raise ExecutionError("division by zero")
-        if isinstance(left, int) and isinstance(right, int):
-            return left // right
-        return left / right
-    if op == "%":
-        return left % right
-    raise ExecutionError(f"unknown arithmetic operator {op!r}")
-
-
-#: the error format both executors raise for mixed-type ordering comparisons
-COMPARISON_TYPE_ERROR_FMT = "cannot compare %r and %r with %r"
-
-
-def _compare(op: str, left, right) -> bool:
-    if op == "=":
-        return left == right
-    if op == "<>":
-        return left != right
-    try:
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-    except TypeError as exc:
-        raise ExecutionError(
-            COMPARISON_TYPE_ERROR_FMT % (left, right, op)
-        ) from exc
-    raise ExecutionError(f"unknown comparison operator {op!r}")
-
-
-def comparison_holds(op: str, left, right) -> bool:
-    """Evaluate one comparison operator on already-evaluated operands.
-
-    Public entry point shared with the incremental maintainer, which
-    re-checks rule comparisons outside a plan's guard machinery.  Raises
-    :class:`ExecutionError` on mixed-type ordering comparisons, exactly
-    like both executors.
-    """
-    return _compare(op, left, right)
 
 
 def _apply_guard(guard: Guard, bindings: Bindings, store: StoreBackend) -> bool:
@@ -131,7 +83,7 @@ def _apply_guard(guard: Guard, bindings: Bindings, store: StoreBackend) -> bool:
             bindings[op[1]] = evaluate_term(op[2], bindings)
         else:
             comparison = op[1]
-            if not _compare(
+            if not compare(
                 comparison.op,
                 evaluate_term(comparison.left, bindings),
                 evaluate_term(comparison.right, bindings),
@@ -151,8 +103,7 @@ def resolve_delta_view(
 ) -> Optional[DeltaView]:
     """Validate and wrap the delta rows for one rule application.
 
-    Shared by both executors so their entry-point semantics cannot drift: a
-    delta-variant plan is also a valid full plan (no delta rows), but
+    A delta-variant plan is also a valid full plan (no delta rows), but
     applying delta rows at a position the plan was not compiled for would
     restrict the wrong atom, so that mismatch is rejected here.
     """
@@ -189,7 +140,23 @@ def rule_solutions(
     if plan is None:
         delta_size = len(delta_rows) if delta_rows is not None else 0
         plan = plan_rule(rule, store, delta_index, delta_size)
-    delta_view = resolve_delta_view(plan, delta_index, delta_rows)
+    return plan_solutions(
+        plan, store, resolve_delta_view(plan, delta_index, delta_rows), params
+    )
+
+
+def plan_solutions(
+    plan: RulePlan,
+    store: StoreBackend,
+    delta_view: Optional[DeltaView] = None,
+    params: Params = None,
+) -> Iterator[Bindings]:
+    """Walk ``plan`` and yield every binding satisfying its rule's body.
+
+    With a ``delta_view`` the plan's delta step draws its rows from the
+    view instead of the store.
+    """
+    rule = plan.rule
     delta_body_index = plan.delta_index
 
     bindings: Bindings = param_bindings(params)
@@ -247,53 +214,22 @@ def rule_solutions(
     yield from recurse(0, bindings)
 
 
-def _aggregate_value(func: str, values: List) -> object:
-    if func == "count":
-        return len(values)
-    if func == "sum":
-        return sum(values) if values else 0
-    if func == "min":
-        return min(values)
-    if func == "max":
-        return max(values)
-    if func == "avg":
-        return sum(values) / len(values) if values else 0.0
-    if func == "collect":
-        return ",".join(str(value) for value in sorted(values, key=str))
-    raise ExecutionError(f"unknown aggregate function {func!r}")
-
-
-def evaluate_rule(
-    rule: Rule,
+def evaluate_plan(
+    plan: RulePlan,
     store: StoreBackend,
-    delta_index: Optional[int] = None,
-    delta_rows: Optional[Sequence[Tuple]] = None,
-    plan: Optional[RulePlan] = None,
+    delta_view: Optional[DeltaView] = None,
     params: Params = None,
 ) -> Set[Tuple]:
-    """Evaluate ``rule`` and return the derived head tuples."""
+    """Walk ``plan`` and return the head tuples its rule derives."""
+    rule = plan.rule
+    solutions = plan_solutions(plan, store, delta_view, params)
     if rule.aggregations:
-        # Aggregate rules are always recomputed over the full store: a new
-        # delta row can change the aggregate of groups derived earlier.
-        return _evaluate_aggregate_rule(rule, store, plan, params)
-    derived: Set[Tuple] = set()
+        return aggregate_solutions(rule, solutions, params=params)
     head_terms = rule.head.terms
-    for bindings in rule_solutions(
-        rule, store, delta_index, delta_rows, plan, params=params
-    ):
-        derived.add(tuple(evaluate_term(term, bindings) for term in head_terms))
-    return derived
-
-
-def _evaluate_aggregate_rule(
-    rule: Rule,
-    store: StoreBackend,
-    plan: Optional[RulePlan] = None,
-    params: Params = None,
-) -> Set[Tuple]:
-    return aggregate_solutions(
-        rule, rule_solutions(rule, store, plan=plan, params=params), params=params
-    )
+    return {
+        tuple(evaluate_term(term, bindings) for term in head_terms)
+        for bindings in solutions
+    }
 
 
 def aggregate_solutions(
@@ -339,10 +275,6 @@ def aggregate_solutions(
     for key, aggregates in groups.items():
         bindings = dict(group_bindings[key])
         for name, aggregation in aggregate_by_result.items():
-            values = aggregates[name]
-            if aggregation.argument is None and aggregation.func == "count":
-                bindings[name] = len(values)
-            else:
-                bindings[name] = _aggregate_value(aggregation.func, values)
+            bindings[name] = aggregate(aggregation.func, aggregates[name])
         derived.add(tuple(evaluate_term(term, bindings) for term in rule.head.terms))
     return derived

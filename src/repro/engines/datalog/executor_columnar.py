@@ -76,24 +76,14 @@ except ImportError:  # pragma: no cover - exercised only without numpy
     np = None  # type: ignore[assignment]
 
 from repro.common.errors import ExecutionError
-from repro.dlir.core import (
-    ArithExpr,
-    Const,
-    Param,
-    Rule,
-    Term,
-    Var,
-    Wildcard,
-    rule_param_names,
+from repro.common.semantics import COMPARISONS
+from repro.dlir.core import ArithExpr, Const, Param, Term, Var, Wildcard
+from repro.engines.datalog.executor_compiled import (
+    CompiledExecutor,
+    PlanMemo,
+    RuleExecutor,
 )
-from repro.engines.datalog.evaluation import resolve_delta_view
-from repro.engines.datalog.executor_compiled import CompiledExecutor, RuleExecutor
-from repro.engines.datalog.planner import (
-    CompiledNegation,
-    Guard,
-    RulePlan,
-    plan_rule,
-)
+from repro.engines.datalog.planner import CompiledNegation, Guard, RulePlan
 from repro.engines.datalog.storage import DeltaView, StoreBackend
 
 #: integers with |v| <= this are exactly representable in float64
@@ -138,12 +128,14 @@ class ValueDict:
         self._values: List[object] = []
         self._synced = 0
         self._capacity = 0
-        self._obj = None  # object array: code -> value
-        self._kind = None  # int8: 0 other, 1 int(/bool), 2 float
-        self._ival = None  # int64 value where kind == 1
-        self._fval = None  # float64 value where exact
-        self._fexact = None  # bool: float64 conversion is exact
-        self._isnan = None  # bool: value is a float NaN
+        # Per-code side arrays, allocated empty so an empty dictionary
+        # (nothing stored yet) still indexes with an empty code column.
+        self._obj = np.zeros(0, dtype=object)  # code -> value
+        self._kind = np.zeros(0, dtype=np.int8)  # 0 other, 1 int(/bool), 2 float
+        self._ival = np.zeros(0, dtype=np.int64)  # value where kind == 1
+        self._fval = np.zeros(0, dtype=np.float64)  # value where exact
+        self._fexact = np.zeros(0, dtype=bool)  # float64 conversion is exact
+        self._isnan = np.zeros(0, dtype=bool)  # value is a float NaN
         # One ValueDict serves every worker of a serving pool.  Code
         # *allocation* (the check-then-append below) and side-array syncs
         # must be atomic or two threads could hand one code to two values;
@@ -269,8 +261,7 @@ class ValueDict:
 
     def _grow(self, array, capacity: int, dtype):
         fresh = np.zeros(capacity, dtype=dtype)
-        if array is not None:
-            fresh[: self._synced] = array[: self._synced]
+        fresh[: self._synced] = array[: self._synced]
         return fresh
 
     def decode(self, codes: "np.ndarray") -> "np.ndarray":
@@ -334,12 +325,13 @@ def _int_bound_ok(values: "np.ndarray", bound: int) -> bool:
 
 
 def arith_kernel(op: str, left, right):
-    """Vectorised ``_apply_arith``: ``(kind, array)`` in, ``(kind, array)`` out.
+    """Vectorised :func:`repro.common.semantics.arith`: ``(kind, array)``
+    in, ``(kind, array)`` out.
 
-    Mirrors the interpreter exactly on the inputs it accepts; anything that
-    could overflow ``int64``, divide by zero, produce NaN, or hit Python's
-    own error paths raises :class:`ColumnarFallback` so the compiled re-run
-    reproduces the exact value or exception.
+    Equals the semantics core element-wise on the inputs it accepts;
+    anything that could overflow ``int64``, divide by zero, produce NaN, or
+    hit Python's own error paths raises :class:`ColumnarFallback` so the
+    compiled re-run reproduces the exact value or exception.
     """
     kind, left_values, right_values = _numeric_pair(left, right)
     if op in ("+", "-"):
@@ -356,19 +348,32 @@ def arith_kernel(op: str, left, right):
         result = left_values * right_values
     elif op == "/":
         if bool((right_values == 0).any()):
-            # The interpreter raises ExecutionError("division by zero") for
-            # the first offending row; replay exactly via the compiled path.
+            # The semantics core raises ExecutionError for the first
+            # offending row; replay exactly via the compiled path.
             raise ColumnarFallback("division by zero present")
         if kind == "int":
-            result = np.floor_divide(left_values, right_values)  # == Python //
+            if bool((left_values == _INT64_MIN).any()):
+                raise ColumnarFallback("possible int64 overflow in division")
+            result = np.floor_divide(left_values, right_values)
+            # floor -> truncation toward zero, as the semantics core
+            result += (result < 0) & (result * right_values != left_values)
         else:
             result = left_values / right_values
+            # A float column can hold ints (mixed int/float columns convert
+            # to float64): where both operands are integral the core may be
+            # dividing ints, which truncates — only an exact quotient is
+            # the same value either way.
+            integral = (left_values == np.trunc(left_values)) & (
+                right_values == np.trunc(right_values)
+            )
+            if bool((integral & (result != np.trunc(result))).any()):
+                raise ColumnarFallback("possible integer division in a float column")
     elif op == "%":
         if kind != "int":
             raise ColumnarFallback("float modulo is not vectorised")
         if bool((right_values == 0).any()):
             raise ColumnarFallback("modulo by zero present")
-        result = np.remainder(left_values, right_values)  # == Python % on ints
+        result = np.fmod(left_values, right_values)  # dividend's sign (C %)
     else:
         raise ColumnarFallback(f"unknown arithmetic operator {op!r}")
     if kind == "float" and bool(np.isnan(result).any()):
@@ -633,7 +638,6 @@ class _ColumnarPlan:
 
     plan: RulePlan
     steps: Tuple[_ColumnarStep, ...]
-    param_names: Tuple[str, ...]
     unresolved_message: Optional[str]
 
 
@@ -675,7 +679,6 @@ def _lower_plan(plan: RulePlan) -> _ColumnarPlan:
         not plan.steps or plan.steps[0].body_index != plan.delta_index
     ):
         raise ColumnarUnsupported("delta atom is not at step 0")
-    param_names = tuple(rule_param_names(rule))
     bound: Set[str] = set()
 
     def vet_term(term: Term, purpose: str, allow_arith: bool = True) -> None:
@@ -814,7 +817,6 @@ def _lower_plan(plan: RulePlan) -> _ColumnarPlan:
     return _ColumnarPlan(
         plan=plan,
         steps=tuple(steps),
-        param_names=param_names,
         unresolved_message=unresolved_message,
     )
 
@@ -865,9 +867,9 @@ def describe_columnar_plan(plan: RulePlan) -> str:
     except ColumnarUnsupported as exc:
         lines.append(f"  fallback to compiled executor: {exc}")
         return "\n".join(lines) + "\n"
-    if lowered.param_names:
+    if plan.param_names:
         lines.append(
-            "  params: " + ", ".join(f"${name}" for name in lowered.param_names)
+            "  params: " + ", ".join(f"${name}" for name in plan.param_names)
         )
     if not plan.prelude.is_empty():
         lines.append("  prelude:")
@@ -998,34 +1000,24 @@ class _Evaluation:
         arith = isinstance(comparison.left, ArithExpr) or isinstance(
             comparison.right, ArithExpr
         )
-        if op in ("=", "<>"):
-            if not arith:
-                return compare_codes_kernel(
-                    op,
-                    self._eval_codes(comparison.left, level),
-                    self._eval_codes(comparison.right, level),
-                    self.vd,
-                )
-            _kind, left, right = _numeric_pair(
-                self._eval_numeric(comparison.left, level),
-                self._eval_numeric(comparison.right, level),
+        if op in ("=", "<>") and not arith:
+            return compare_codes_kernel(
+                op,
+                self._eval_codes(comparison.left, level),
+                self._eval_codes(comparison.right, level),
+                self.vd,
             )
-            return left == right if op == "=" else left != right
-        # Ordering: exact numeric kernels only; strings/mixed fall back and
-        # the compiled re-run reproduces Python's answer or TypeError.
+        holds = COMPARISONS.get(op)
+        if holds is None:
+            raise ColumnarFallback(f"unknown comparison operator {op!r}")
+        # Exact numeric kernels only (the semantics core's own operator,
+        # applied to whole columns); strings/mixed fall back and the
+        # compiled re-run reproduces the core's answer or error.
         _kind, left, right = _numeric_pair(
             self._eval_numeric(comparison.left, level),
             self._eval_numeric(comparison.right, level),
         )
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        raise ColumnarFallback(f"unknown comparison operator {op!r}")
+        return holds(left, right)
 
     def _negation_mask(self, negation: CompiledNegation, level: _Level):
         """Return the keep-mask for one negation (``None`` = keep all)."""
@@ -1261,14 +1253,11 @@ class _Evaluation:
 # -- the executor -------------------------------------------------------------
 
 
-_UNSET = object()
-
-
 class ColumnarExecutor(RuleExecutor):
     """Evaluates rules level-at-a-time over NumPy column arrays.
 
-    Lowerings are cached by plan *structure* with an identity memo in front
-    (the same two-tier scheme as the compiled executor's closure cache).
+    Lowerings are cached per plan in a :class:`PlanMemo` (like the compiled
+    executor's closures).
     Store relations are encoded to code columns once per
     :meth:`StoreBackend.data_version` and reused across applications;
     ``DeltaView`` encodings are memoised per view object, so the views the
@@ -1288,7 +1277,6 @@ class ColumnarExecutor(RuleExecutor):
 
     name = "columnar"
 
-    _ID_MEMO_LIMIT = 4096
     _STORE_CACHE_LIMIT = 512
     _DELTA_MEMO_LIMIT = 1024
     # Removal masking is O(rows × removed); past this many net removals a
@@ -1304,8 +1292,7 @@ class ColumnarExecutor(RuleExecutor):
             )
         self._vd = ValueDict()
         self._fallback = CompiledExecutor()
-        self._by_structure: Dict[RulePlan, object] = {}
-        self._by_id: Dict[int, Tuple[RulePlan, object]] = {}
+        self._lowerings = PlanMemo(self._lower)
         # (id(store), relation) -> (store, data_version, columns, count);
         # the store reference pins the id against recycling.
         self._store_cache: Dict[Tuple[int, str], Tuple] = {}
@@ -1330,26 +1317,18 @@ class ColumnarExecutor(RuleExecutor):
 
     # -- lowering cache ----------------------------------------------------
 
+    def _lower(self, plan: RulePlan) -> Optional[_ColumnarPlan]:
+        try:
+            lowered = _lower_plan(plan)
+        except ColumnarUnsupported:
+            self.fallback_count += 1
+            return None
+        self.lower_count += 1
+        return lowered
+
     def lowered_for(self, plan: RulePlan) -> Optional[_ColumnarPlan]:
         """Return the cached lowering for ``plan`` (``None`` = compiled)."""
-        memoised = self._by_id.get(id(plan))
-        if memoised is not None and memoised[0] is plan:
-            lowered = memoised[1]
-            return lowered if isinstance(lowered, _ColumnarPlan) else None
-        with self._lock:
-            lowered = self._by_structure.get(plan, _UNSET)
-            if lowered is _UNSET:
-                try:
-                    lowered = _lower_plan(plan)
-                    self.lower_count += 1
-                except ColumnarUnsupported as exc:
-                    lowered = str(exc)
-                    self.fallback_count += 1
-                self._by_structure[plan] = lowered
-            if len(self._by_id) >= self._ID_MEMO_LIMIT:
-                self._by_id.clear()
-            self._by_id[id(plan)] = (plan, lowered)
-        return lowered if isinstance(lowered, _ColumnarPlan) else None
+        return self._lowerings.get(plan)
 
     # -- column caches -----------------------------------------------------
 
@@ -1453,38 +1432,14 @@ class ColumnarExecutor(RuleExecutor):
 
     # -- RuleExecutor ------------------------------------------------------
 
-    def evaluate_rule(
-        self, rule, store, delta_index=None, delta_rows=None, plan=None, params=None
-    ):
-        if plan is None:
-            delta_size = len(delta_rows) if delta_rows is not None else 0
-            plan = plan_rule(rule, store, delta_index, delta_size)
+    def _run(self, plan, store, delta, params):
         lowered = self.lowered_for(plan)
         if lowered is None:
-            return self._fallback.evaluate_rule(
-                rule, store, delta_index, delta_rows, plan, params
-            )
-        if rule.aggregations:
-            # Aggregates recompute over the full store (a delta row can
-            # change any group), exactly like the other executors — which
-            # also never check them for a delta-position mismatch.
-            delta_view = None
-        else:
-            delta_view = resolve_delta_view(plan, delta_index, delta_rows)
-        resolved: Dict[str, object] = {}
-        for name in lowered.param_names:
-            # Eager, like the compiled executor's parameter hoisting.
-            if params is None or name not in params:
-                raise ExecutionError(
-                    f"no value bound for query parameter ${name}"
-                )
-            resolved[name] = params[name]
+            return self._fallback._run(plan, store, delta, params)
         try:
-            result = _Evaluation(self, lowered, store, resolved).run(delta_view)
+            result = _Evaluation(self, lowered, store, params or {}).run(delta)
         except ColumnarFallback:
             self.runtime_fallback_count += 1
-            return self._fallback.evaluate_rule(
-                rule, store, delta_index, delta_rows, plan, params
-            )
+            return self._fallback._run(plan, store, delta, params)
         self.vectorised_count += 1
         return result

@@ -60,6 +60,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.common.errors import ExecutionError
+from repro.common.semantics import COMPARISON_TYPE_ERROR, arith
 from repro.dlir.core import (
     ArithExpr,
     Const,
@@ -67,18 +68,15 @@ from repro.dlir.core import (
     Rule,
     Term,
     Var,
-    rule_param_names,
     term_variables,
 )
 from repro.engines.datalog.evaluation import (
-    COMPARISON_TYPE_ERROR_FMT,
-    _apply_arith,
     aggregate_solutions,
-    evaluate_rule,
+    evaluate_plan,
     resolve_delta_view,
 )
 from repro.engines.datalog.planner import Guard, RulePlan, plan_rule
-from repro.engines.datalog.storage import StoreBackend
+from repro.engines.datalog.storage import DeltaView, StoreBackend
 
 
 class CodegenError(Exception):
@@ -89,8 +87,13 @@ class CodegenError(Exception):
 
 
 def _div(left, right):
-    """``/`` with the interpreter's own semantics (int//int, error on zero)."""
-    return _apply_arith("/", left, right)
+    """``/`` as the semantics core defines it (truncating, error on zero)."""
+    return arith("/", left, right)
+
+
+def _mod(left, right):
+    """``%`` as the semantics core defines it (dividend's sign, error on zero)."""
+    return arith("%", left, right)
 
 
 def _unbound(name):
@@ -109,9 +112,10 @@ def _param(params, name):
 _CLOSURE_GLOBALS = {
     "ExecutionError": ExecutionError,
     "_div": _div,
+    "_mod": _mod,
     "_unbound": _unbound,
     "_param": _param,
-    "_cmp_error": COMPARISON_TYPE_ERROR_FMT,
+    "_cmp_error": COMPARISON_TYPE_ERROR,
 }
 
 
@@ -142,7 +146,7 @@ class _PlanCompiler:
         # Late-bound parameters: hoisted into locals once per call, so the
         # closure's signature (and source) only changes for parameterised
         # rules — parameter-free plans generate byte-identical code.
-        self.param_names: Tuple[str, ...] = tuple(rule_param_names(self.rule))
+        self.param_names: Tuple[str, ...] = plan.param_names
 
     # -- small emission helpers ------------------------------------------
 
@@ -213,10 +217,12 @@ class _PlanCompiler:
         if isinstance(term, ArithExpr):
             left = self._term(term.left)
             right = self._term(term.right)
-            if term.op in ("+", "-", "*", "%"):
+            if term.op in ("+", "-", "*"):
                 return f"({left} {term.op} {right})"
             if term.op == "/":
                 return f"_div({left}, {right})"
+            if term.op == "%":
+                return f"_mod({left}, {right})"
             raise CodegenError(f"unknown arithmetic operator {term.op!r}")
         raise CodegenError(f"cannot compile term {term!r}")
 
@@ -547,29 +553,27 @@ class CompiledPlan:
     plan: RulePlan
     source: str
     fn: Callable
-    param_names: Tuple[str, ...] = ()
 
 
 def compile_plan(plan: RulePlan) -> CompiledPlan:
     """Generate, compile and return the closure for ``plan`` (uncached)."""
-    generator = _PlanCompiler(plan)
-    source = generator.generate()
+    source = generate_plan_source(plan)
     namespace = dict(_CLOSURE_GLOBALS)
     code = compile(source, f"<plan:{plan.rule.head.relation}>", "exec")
     exec(code, namespace)
-    return CompiledPlan(
-        plan=plan,
-        source=source,
-        fn=namespace["_compiled_rule"],
-        param_names=generator.param_names,
-    )
+    return CompiledPlan(plan=plan, source=source, fn=namespace["_compiled_rule"])
 
 
 # -- executor objects --------------------------------------------------------
 
 
 class RuleExecutor:
-    """The strategy interface the engine evaluates single rules through."""
+    """The strategy interface the engine evaluates single rules through.
+
+    :meth:`evaluate_rule` is the one entry contract: it settles everything
+    that does not depend on the execution strategy, then hands the plan to
+    the subclass's :meth:`_run`.
+    """
 
     name = "abstract"
 
@@ -584,105 +588,132 @@ class RuleExecutor:
     ) -> Set[Tuple]:
         """Evaluate one rule application; return the derived head tuples.
 
-        ``params`` supplies the run's late-bound parameter values (prepared
-        queries); plans and compiled closures are binding-independent, so
-        the same plan serves every ``params``.
+        ``plan`` supplies a precompiled strategy; omitted, one is built for
+        this call.  ``params`` supplies the run's late-bound parameter
+        values (prepared queries); plans and compiled closures are
+        binding-independent, so the same plan serves every ``params``.
         """
+        if plan is None:
+            delta_size = len(delta_rows) if delta_rows is not None else 0
+            plan = plan_rule(rule, store, delta_index, delta_size)
+        # Aggregate rules are always recomputed over the full store: a new
+        # delta row can change the aggregate of groups derived earlier.
+        delta = (
+            None
+            if rule.aggregations
+            else resolve_delta_view(plan, delta_index, delta_rows)
+        )
+        for name in plan.param_names:
+            if params is None or name not in params:
+                raise ExecutionError(f"no value bound for query parameter ${name}")
+        return self._run(plan, store, delta, params)
+
+    def _run(
+        self,
+        plan: RulePlan,
+        store: StoreBackend,
+        delta: Optional[DeltaView],
+        params: Optional[Dict[str, object]],
+    ) -> Set[Tuple]:
+        """Execute ``plan`` — over ``delta`` at its delta step when given."""
         raise NotImplementedError
 
 
 class InterpretedExecutor(RuleExecutor):
-    """The plan-walking executor from ``evaluation.py`` (the seed semantics)."""
+    """The plan-walking executor from ``evaluation.py`` (the reference)."""
 
     name = "interpreted"
 
-    def evaluate_rule(
-        self, rule, store, delta_index=None, delta_rows=None, plan=None, params=None
-    ):
-        return evaluate_rule(rule, store, delta_index, delta_rows, plan, params)
+    def _run(self, plan, store, delta, params):
+        return evaluate_plan(plan, store, delta, params)
 
 
 _UNSET = object()
 
 
-class CompiledExecutor(RuleExecutor):
-    """Evaluates rules through cached source-generated closures.
+class PlanMemo:
+    """What an executor derives from a plan, built once per plan structure.
 
-    Closures are cached by plan *structure* (``RulePlan`` is a frozen
-    dataclass), so engines that rebuild plans per application
-    (``reuse_plans=False``) still reuse compiled code.  The hot path — the
-    engine passing the same ``PlanCache``-owned plan object every iteration
-    — is served by an identity memo in front of the structural map, so it
-    never recomputes a deep plan hash (the reason ``PlanCache`` itself keys
-    by ``id``).  Plans the generator rejects are remembered as ``None`` and
-    permanently routed to the interpreter; ``fallback_count`` says how many
-    distinct plans did.
+    Entries are keyed by plan *structure* (``RulePlan`` is a frozen
+    dataclass), so a re-plan that lands on the same join order reuses the
+    derived value.  The hot path — the engine passing the same
+    ``PlanCache``-owned plan object every iteration — is served by an
+    identity memo in front of the structural map, so it never recomputes a
+    deep plan hash (the reason ``PlanCache`` itself keys by ``id``).
+
+    One executor is shared by every worker of a serving pool.  The
+    identity-memo fast path stays lock-free (a single dict read, atomic
+    under the GIL, of an immutable tuple); the slow path — ``build`` + both
+    cache writes — runs under a lock with a double-check so concurrent
+    first-misses of the same plan build it exactly once.
     """
-
-    name = "compiled"
 
     #: identity-memo bound: above this the memo is cleared (it only exists
     #: to skip hashing, so dropping it is always safe)
     _ID_MEMO_LIMIT = 4096
 
-    def __init__(self) -> None:
-        self._by_structure: Dict[RulePlan, Optional[CompiledPlan]] = {}
-        # id -> (plan, compiled); the plan reference keeps the id alive.
-        self._by_id: Dict[int, Tuple[RulePlan, Optional[CompiledPlan]]] = {}
-        self.fallback_count = 0
-        #: closures actually generated+compiled (structural cache misses);
-        #: the session tests assert this stays flat across re-binds
-        self.compile_count = 0
-        # One executor is shared by every worker of a serving pool.  The
-        # identity-memo fast path stays lock-free (a single dict read,
-        # atomic under the GIL, of an immutable tuple); the slow path —
-        # compile + both cache writes — runs under this lock with a
-        # double-check so concurrent first-misses of the same plan compile
-        # it exactly once.
+    def __init__(self, build: Callable[[RulePlan], object]) -> None:
+        self._build = build
+        self._by_structure: Dict[RulePlan, object] = {}
+        # id -> (plan, value); the plan reference keeps the id alive.
+        self._by_id: Dict[int, Tuple[RulePlan, object]] = {}
         self._lock = threading.Lock()
 
-    def compiled_for(self, plan: RulePlan) -> Optional[CompiledPlan]:
-        """Return the cached closure for ``plan`` (``None`` = interpreter)."""
+    def get(self, plan: RulePlan):
         memoised = self._by_id.get(id(plan))
         if memoised is not None and memoised[0] is plan:
             return memoised[1]
         with self._lock:
-            compiled = self._by_structure.get(plan, _UNSET)
-            if compiled is _UNSET:
-                try:
-                    compiled = compile_plan(plan)
-                    self.compile_count += 1
-                except (CodegenError, SyntaxError):
-                    compiled = None
-                    self.fallback_count += 1
-                self._by_structure[plan] = compiled
+            value = self._by_structure.get(plan, _UNSET)
+            if value is _UNSET:
+                value = self._by_structure[plan] = self._build(plan)
             if len(self._by_id) >= self._ID_MEMO_LIMIT:
                 self._by_id.clear()
-            self._by_id[id(plan)] = (plan, compiled)
+            self._by_id[id(plan)] = (plan, value)
+        return value
+
+
+class CompiledExecutor(RuleExecutor):
+    """Evaluates rules through cached source-generated closures.
+
+    Closures are cached per plan in a :class:`PlanMemo`.  Plans the
+    generator rejects are remembered as ``None`` and permanently routed to
+    the interpreter; ``fallback_count`` says how many distinct plans did.
+    """
+
+    name = "compiled"
+
+    def __init__(self) -> None:
+        self.fallback_count = 0
+        #: closures actually generated+compiled (structural cache misses);
+        #: the session tests assert this stays flat across re-binds
+        self.compile_count = 0
+        self._closures = PlanMemo(self._compile)
+
+    def _compile(self, plan: RulePlan) -> Optional[CompiledPlan]:
+        try:
+            compiled = compile_plan(plan)
+        except (CodegenError, SyntaxError):
+            self.fallback_count += 1
+            return None
+        self.compile_count += 1
         return compiled
 
-    def evaluate_rule(
-        self, rule, store, delta_index=None, delta_rows=None, plan=None, params=None
-    ):
-        if plan is None:
-            delta_size = len(delta_rows) if delta_rows is not None else 0
-            plan = plan_rule(rule, store, delta_index, delta_size)
+    def compiled_for(self, plan: RulePlan) -> Optional[CompiledPlan]:
+        """Return the cached closure for ``plan`` (``None`` = interpreter)."""
+        return self._closures.get(plan)
+
+    def _run(self, plan, store, delta, params):
         compiled = self.compiled_for(plan)
         if compiled is None:
-            return evaluate_rule(rule, store, delta_index, delta_rows, plan, params)
-        if rule.aggregations:
-            # Aggregates always recompute over the full store (a delta row
-            # can change any group), exactly like the interpreter — which
-            # also never checks them for a delta-position mismatch.
-            if compiled.param_names:
-                solutions = compiled.fn(store, None, params)
-            else:
-                solutions = compiled.fn(store, None)
-            return aggregate_solutions(rule, solutions, params=params)
-        delta = resolve_delta_view(plan, delta_index, delta_rows)
-        if compiled.param_names:
-            return compiled.fn(store, delta, params)
-        return compiled.fn(store, delta)
+            return evaluate_plan(plan, store, delta, params)
+        if plan.param_names:
+            result = compiled.fn(store, delta, params)
+        else:
+            result = compiled.fn(store, delta)
+        if plan.rule.aggregations:
+            return aggregate_solutions(plan.rule, result, params=params)
+        return result
 
 
 #: What :func:`create_executor` and the engine accept as an executor selection.

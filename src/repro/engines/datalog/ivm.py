@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Set, 
 
 from repro.analysis.stratification import stratify
 from repro.common.errors import ExecutionError
+from repro.common.semantics import compare
 from repro.dlir.core import (
     Atom,
     Comparison,
@@ -62,7 +63,6 @@ from repro.dlir.core import (
 from repro.engines.datalog.evaluation import (
     Bindings,
     aggregate_solutions,
-    comparison_holds,
     evaluate_term,
     rule_solutions,
 )
@@ -632,7 +632,7 @@ class IncrementalMaintainer:
                 if self._exists(literal.atom, binding, old):
                     return False
             elif isinstance(literal, Comparison):
-                if not comparison_holds(
+                if not compare(
                     literal.op,
                     evaluate_term(literal.left, binding),
                     evaluate_term(literal.right, binding),

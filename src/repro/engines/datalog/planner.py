@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import ExecutionError
@@ -57,6 +58,7 @@ from repro.dlir.core import (
     Term,
     Var,
     Wildcard,
+    rule_param_names,
     term_variables,
 )
 from repro.engines.datalog.statistics import (
@@ -157,6 +159,14 @@ class RulePlan:
     stats_epoch: int = field(default=0, compare=False)
     step_fanouts: Optional[Tuple[float, ...]] = field(default=None, compare=False)
     cost_estimate: Optional[float] = field(default=None, compare=False)
+
+    @cached_property
+    def param_names(self) -> Tuple[str, ...]:
+        """The rule's late-bound parameter names, which every application
+        checks against the run's binding.  Computed on first use: the
+        incremental maintainer plans throwaway rules it only ever walks
+        for bindings, and those never pay for it."""
+        return tuple(rule_param_names(self.rule))
 
 
 class _GuardBuilder:

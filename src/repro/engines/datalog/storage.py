@@ -28,10 +28,6 @@ number of from-scratch index constructions is exposed as
 distinct ``(relation, positions)`` indexes ever requested (each is built
 exactly once), which the benchmarks assert.
 
-``maintain_indexes=False`` restores the seed behaviour — indexes are dropped
-whenever the relation changes and rebuilt on the next lookup — and exists so
-benchmarks can measure the cost of that strategy.
-
 :class:`DeltaView` wraps the per-iteration delta of a relation for semi-naive
 evaluation.  It offers the same ``lookup``/``scan`` interface as a stored
 relation (with its own lazily built mini-indexes), so the evaluator can treat
@@ -309,9 +305,7 @@ class StoreBackend(abc.ABC):
 StoreSpec = Union[str, StoreBackend, None]
 
 
-def create_store(
-    spec: StoreSpec = None, *, maintain_indexes: bool = True
-) -> StoreBackend:
+def create_store(spec: StoreSpec = None) -> StoreBackend:
     """Resolve a backend specification into a :class:`StoreBackend`.
 
     ``spec`` may be an existing backend instance (returned as-is), one of the
@@ -320,15 +314,6 @@ def create_store(
     ``REPRO_STORE`` environment variable and defaults to ``"memory"``.  The
     environment hook is what lets CI run the whole test suite against the
     SQLite backend without touching any call site.
-
-    ``maintain_indexes`` only applies when this factory *constructs* an
-    in-memory store (the seed invalidate-on-growth strategy exists there
-    purely for benchmarking).  It is ignored for SQLite (SQLite always
-    maintains its own indexes) and for an already-constructed backend
-    instance, which is returned exactly as configured by its creator —
-    callers combining ``DatalogEngine(..., incremental_indexes=False)``
-    with an explicit instance must build that instance with
-    ``FactStore(maintain_indexes=False)`` themselves.
     """
     if isinstance(spec, StoreBackend):
         return spec
@@ -337,7 +322,7 @@ def create_store(
     if not isinstance(spec, str):
         raise ValueError(f"unsupported fact-store specification {spec!r}")
     if spec == "memory":
-        return FactStore(maintain_indexes=maintain_indexes)
+        return FactStore()
     if spec == "sqlite" or spec.startswith("sqlite:"):
         from repro.engines.datalog.storage_sqlite import SQLiteFactStore
 
@@ -473,11 +458,10 @@ class FactStore(StoreBackend):
     # ``_index_lock`` below, so concurrent readers need no external mutex.
     concurrent_reads = True
 
-    def __init__(self, maintain_indexes: bool = True) -> None:
+    def __init__(self) -> None:
         self._relations: Dict[str, Set[Row]] = defaultdict(set)
         # relation name -> {positions -> {key -> [rows]}}
         self._indexes: Dict[str, Dict[Positions, Dict[Key, List[Row]]]] = {}
-        self._maintain = maintain_indexes
         #: number of from-scratch index constructions (monotone counter)
         self.index_build_count = 0
         #: incrementally maintained cardinality / distinct-count statistics
@@ -523,11 +507,8 @@ class FactStore(StoreBackend):
         self._stats.record_add(name, row)
         indexes = self._indexes.get(name)
         if indexes:
-            if self._maintain:
-                for positions, index in indexes.items():
-                    index[tuple(row[i] for i in positions)].append(row)
-            else:
-                indexes.clear()
+            for positions, index in indexes.items():
+                index[tuple(row[i] for i in positions)].append(row)
         return True
 
     def add_many(self, name: str, rows: Iterable[Row]) -> int:
@@ -545,14 +526,10 @@ class FactStore(StoreBackend):
         if fresh:
             self._versions[name] += 1
             self._changelog.record_many(name, self._versions[name], fresh, 1)
-        if not fresh or not indexes:
-            return len(fresh)
-        if self._maintain:
+        if fresh and indexes:
             for positions, index in indexes.items():
                 for row in fresh:
                     index[tuple(row[i] for i in positions)].append(row)
-        else:
-            indexes.clear()
         return len(fresh)
 
     def remove(self, name: str, row: Row) -> bool:
@@ -566,9 +543,6 @@ class FactStore(StoreBackend):
         self._stats.record_remove(name, row)
         indexes = self._indexes.get(name)
         if not indexes:
-            return True
-        if not self._maintain:
-            indexes.clear()
             return True
         for positions, index in indexes.items():
             key = tuple(row[i] for i in positions)

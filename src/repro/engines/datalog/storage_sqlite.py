@@ -59,13 +59,9 @@ class SQLiteFactStore(StoreBackend):
         private to this store.  A filesystem path lifts the memory ceiling
         for large EDBs (and persists nothing the engine relies on — every
         run starts from the facts it is given).
-    maintain_indexes:
-        Accepted for signature compatibility with :class:`FactStore` and
-        ignored: SQLite always maintains its indexes incrementally.
     """
 
-    def __init__(self, path: str = ":memory:", maintain_indexes: bool = True) -> None:
-        del maintain_indexes  # SQLite has no invalidate-on-growth mode
+    def __init__(self, path: str = ":memory:") -> None:
         # check_same_thread=False: the serving layer's SharedEDB reads the
         # base store from worker threads.  It serialises every access to a
         # backend whose ``concurrent_reads`` is False (this one) through a

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.common import semantics
 from repro.common.errors import ExecutionError, UnsupportedFeatureError
 from repro.engines.graph.store import GraphEdge, PropertyGraph
 from repro.engines.result import QueryResult
@@ -416,31 +417,9 @@ class GraphEngine:
             return self._eval(expression.left, row) in values
         left = self._eval(expression.left, row)
         right = self._eval(expression.right, row)
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if isinstance(left, int) and isinstance(right, int):
-                return left // right
-            return left / right
-        if op == "%":
-            return left % right
-        raise ExecutionError(f"unknown operator {expression.op!r}")
+        if op in semantics.COMPARISONS:
+            return semantics.compare(op, left, right)
+        return semantics.arith(op, left, right)
 
     def _eval_function(self, expression: PGFunction, row: Row):
         name = expression.name.lower()
@@ -509,19 +488,7 @@ class GraphEngine:
         values = [self._normalise(self._eval(aggregate.argument, row)) for row in rows]
         if aggregate.distinct:
             values = list(dict.fromkeys(values))
-        if aggregate.func == "count":
-            return len(values)
-        if aggregate.func == "sum":
-            return sum(values) if values else 0
-        if aggregate.func == "min":
-            return min(values) if values else None
-        if aggregate.func == "max":
-            return max(values) if values else None
-        if aggregate.func == "avg":
-            return sum(values) / len(values) if values else None
-        if aggregate.func == "collect":
-            return ",".join(str(value) for value in sorted(values, key=str))
-        raise ExecutionError(f"unknown aggregate {aggregate.func!r}")
+        return semantics.aggregate(aggregate.func, values)
 
     def _update_labels(self, items: Tuple[PGProjectionItem, ...]) -> None:
         new_labels: Dict[str, str] = {}

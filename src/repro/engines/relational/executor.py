@@ -20,6 +20,7 @@ from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import ExecutionError
+from repro.common.semantics import COMPARISONS, aggregate, arith, compare
 from repro.engines.relational.table import Database, Table
 from repro.engines.result import QueryResult
 from repro.sqir.nodes import (
@@ -91,31 +92,9 @@ class _SelectEvaluator:
             )
         left = self._eval(expression.left, env)
         right = self._eval(expression.right, env)
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if isinstance(left, int) and isinstance(right, int):
-                return left // right
-            return left / right
-        if op == "%":
-            return left % right
-        raise ExecutionError(f"unknown SQL operator {expression.op!r}")
+        if op in COMPARISONS:
+            return compare(op, left, right)
+        return arith(op, left, right)
 
     def _eval_not_exists(self, expression: NotExists, env: Env) -> bool:
         rows = self._executor.evaluate_select(expression.subquery, outer_env=env)
@@ -310,25 +289,12 @@ class _SelectEvaluator:
         return list(dict.fromkeys(rows)) if select.distinct else rows
 
     def _eval_aggregate(self, expression: SQLFunction, envs: List[Env]):
-        name = expression.name.upper()
         if expression.star:
             return len(envs)
         values = [self._eval(expression.args[0], env) for env in envs]
         if expression.distinct:
             values = list(dict.fromkeys(values))
-        if name == "COUNT":
-            return len(values)
-        if name == "SUM":
-            return sum(values) if values else 0
-        if name == "MIN":
-            return min(values) if values else None
-        if name == "MAX":
-            return max(values) if values else None
-        if name == "AVG":
-            return sum(values) / len(values) if values else None
-        if name == "GROUP_CONCAT":
-            return ",".join(str(value) for value in sorted(values, key=str))
-        raise ExecutionError(f"unknown aggregate {expression.name!r}")
+        return aggregate(expression.name, values)
 
     # -- entry point ----------------------------------------------------------
 

@@ -271,9 +271,7 @@ class Raqlet:
         from repro.session import resolve_execution_options
 
         resolved_store, resolved_executor = resolve_execution_options(
-            store,
-            executor,
-            maintain_indexes=engine_options.get("incremental_indexes", True),
+            store, executor
         )
         return DatalogEngine(
             compiled.program(optimized),
@@ -306,9 +304,8 @@ class Raqlet:
 
         ``engine_options`` are forwarded to :class:`DatalogEngine` — e.g.
         ``replan_threshold`` to tune (or disable) statistics-driven
-        re-planning, or ``incremental_indexes`` / ``reuse_plans`` to
-        benchmark the seed evaluation strategy; ``store`` / ``executor``
-        select the backend exactly as in :meth:`session`.
+        re-planning; ``store`` / ``executor`` select the backend exactly as
+        in :meth:`session`.
         """
         from repro.session import Session
 

@@ -75,10 +75,7 @@ EXECUTION_ENGINES = ("auto", "datalog", "relational", "sqlite", "graph")
 
 
 def resolve_execution_options(
-    store: StoreSpec = None,
-    executor: ExecutorSpec = None,
-    *,
-    maintain_indexes: bool = True,
+    store: StoreSpec = None, executor: ExecutorSpec = None
 ) -> Tuple[StoreBackend, RuleExecutor]:
     """Resolve store/executor specifications in **one** place.
 
@@ -88,10 +85,7 @@ def resolve_execution_options(
     can accidentally shadow the environment resolution by forwarding an
     explicit ``None``.
     """
-    return (
-        create_store(store, maintain_indexes=maintain_indexes),
-        create_executor(executor),
-    )
+    return create_store(store), create_executor(executor)
 
 
 def detect_query_language(text: str) -> str:
@@ -401,7 +395,8 @@ class Session:
         store: StoreSpec = None,
         executor: ExecutorSpec = None,
         namespace: Optional[str] = None,
-        **engine_options,
+        replan_threshold: Optional[float] = None,
+        ivm: bool = True,
     ) -> None:
         self._raqlet = raqlet
         #: optional label mixed into every prepared query's IDB-namespace
@@ -412,17 +407,12 @@ class Session:
         # A caller-supplied StoreBackend instance stays under the caller's
         # ownership; stores the session creates are closed by close().
         self._owns_store = not isinstance(store, StoreBackend)
-        maintain_indexes = engine_options.get("incremental_indexes", True)
-        self._store, self._executor = resolve_execution_options(
-            store, executor, maintain_indexes=maintain_indexes
-        )
-        #: extra options forwarded to every prepared query's DatalogEngine
-        #: (``replan_threshold``, ``reuse_plans``, ``incremental_indexes``,
-        #: ``ivm``).  Sessions enable incremental view maintenance by
-        #: default — pass ``ivm=False`` to force mark-dirty + re-derive.
-        self.engine_options = dict(engine_options)
-        self.engine_options.setdefault("ivm", True)
-        self._ivm = bool(self.engine_options["ivm"])
+        self._store, self._executor = resolve_execution_options(store, executor)
+        #: options forwarded to every prepared query's DatalogEngine.
+        #: Sessions enable incremental view maintenance by default — pass
+        #: ``ivm=False`` to force mark-dirty + re-derive.
+        self.engine_options = {"replan_threshold": replan_threshold, "ivm": ivm}
+        self._ivm = bool(ivm)
         # Append-only log of effective EDB row mutations ``(relation, row,
         # ±1)``; each prepared query remembers the position its derivation
         # is current at and folds the suffix on its next run.  Consumed

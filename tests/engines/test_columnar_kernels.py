@@ -3,7 +3,10 @@
 Each vectorised kernel — dictionary encoding, hash join, membership
 (negation probe), comparison masks, arithmetic, grouped reductions — is run
 against an independent **tuple-loop reference** on generated columns
-covering ``None``, NaN, 64-bit integers and mixed dtypes.  The encoding
+covering ``None``, NaN, 64-bit integers and mixed dtypes.  For the
+value-level kernels the reference is the shared semantics core
+(:mod:`repro.common.semantics`): ``arith_kernel``, ``_check_mask`` and
+``grouped_reduce_kernel`` must equal it element-wise or fall back.  The encoding
 round-trip pins the NULL/NaN set-semantics already fixed for SQLite in
 PR 2: ``None`` is an ordinary joinable value, ``1``/``1.0``/``True``
 collapse to one key, and NaN follows *container* semantics (the same NaN
@@ -29,9 +32,15 @@ np = pytest.importorskip("numpy", reason="columnar kernels require NumPy")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common import semantics
+from repro.common.errors import ExecutionError
+from repro.dlir.core import Comparison, Var
 from repro.engines.datalog.executor_columnar import (
+    ColumnarExecutor,
     ColumnarFallback,
     ValueDict,
+    _Evaluation,
+    _Level,
     arith_kernel,
     compare_codes_kernel,
     group_rows_kernel,
@@ -227,22 +236,62 @@ def test_equality_mask_matches_python_eq(pairs, op):
     assert mask.tolist() == expected
 
 
+def _check_mask(op, pairs):
+    executor = ColumnarExecutor()
+    level = _Level(
+        len(pairs),
+        {
+            "a": _encode(executor._vd, [a for a, _b in pairs]),
+            "b": _encode(executor._vd, [b for _a, b in pairs]),
+        },
+    )
+    return _Evaluation(executor, None, None, {})._check_mask(
+        Comparison(op, Var("a"), Var("b")), level
+    )
+
+
+#: numeric values only — columns the ordering kernels can type
+_numbers = st.sampled_from(
+    [NAN, True, False, 0, 1, 1.0, -1, 2, 2.5, -2.5, 2**53, -(2**53)]
+)
+
+
+@given(
+    pairs=st.one_of(
+        st.lists(st.tuples(_numbers, _numbers), max_size=20),
+        st.lists(st.tuples(_values, _values), max_size=20),
+    ),
+    op=st.sampled_from(sorted(semantics.COMPARISONS)),
+)
+@settings(max_examples=200, deadline=None)
+def test_check_mask_matches_core_compare_or_falls_back(pairs, op):
+    """The guard mask equals ``semantics.compare`` row by row; columns the
+    numeric kernels cannot type — and any row the core would raise on —
+    must fall back instead."""
+    try:
+        mask = _check_mask(op, pairs)
+    except ColumnarFallback:
+        return
+    assert mask.tolist() == [semantics.compare(op, a, b) for a, b in pairs]
+
+
+@pytest.mark.parametrize("op", sorted(semantics.COMPARISONS))
+def test_check_mask_answers_on_numeric_columns(op):
+    """The contract above is not vacuous: plain numeric columns vectorise."""
+    pairs = [(-1, 2), (2, 2), (2.5, 1), (0, -2.5)]
+    assert _check_mask(op, pairs).tolist() == [
+        semantics.compare(op, a, b) for a, b in pairs
+    ]
+
+
 # -- arithmetic ---------------------------------------------------------------
 
 
-def _python_arith(op, a, b):
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            return None  # interpreter raises; kernel must fall back
-        return a // b if isinstance(a, int) and isinstance(b, int) else a / b
-    if op == "%":
-        return a % b
+def _core_arith(op, a, b):
+    try:
+        return semantics.arith(op, a, b)
+    except ExecutionError:
+        return None  # the core raises; the kernel must fall back
 
 
 @given(
@@ -259,7 +308,7 @@ def test_int_arith_matches_python_or_falls_back(pairs, op):
         return  # legal: the compiled executor replays exactly
     assert kind == "int"
     for (a, b), got in zip(pairs, result.tolist()):
-        assert got == _python_arith(op, a, b)
+        assert got == _core_arith(op, a, b)
 
 
 @given(
@@ -282,8 +331,34 @@ def test_float_arith_matches_python_or_falls_back(pairs, op):
     except ColumnarFallback:
         return
     for (a, b), got in zip(pairs, result.tolist()):
-        expected = _python_arith(op, a, b)
+        expected = _core_arith(op, a, b)
         assert got == expected or (got != got and expected != expected)
+
+
+@given(
+    pairs=st.lists(st.tuples(_small_ints, _small_ints), min_size=1, max_size=20),
+    op=st.sampled_from(["/", "%"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_small_int_division_truncates_like_the_core_or_falls_back(pairs, op):
+    """Negative and zero operands, densely: the kernel answers exactly when
+    no divisor is zero, and then with the core's truncating ``/`` and
+    dividend-signed ``%``."""
+    left = np.array([a for a, _b in pairs], dtype=np.int64)
+    right = np.array([b for _a, b in pairs], dtype=np.int64)
+    try:
+        _kind, result = arith_kernel(op, ("int", left), ("int", right))
+    except ColumnarFallback:
+        assert any(b == 0 for _a, b in pairs)
+        return
+    assert result.tolist() == [semantics.arith(op, a, b) for a, b in pairs]
+
+
+def test_division_truncation_pinned():
+    left = np.array([-7, 7, -7, 7], dtype=np.int64)
+    right = np.array([2, -2, -2, 2], dtype=np.int64)
+    assert arith_kernel("/", ("int", left), ("int", right))[1].tolist() == [-3, -3, 3, 3]
+    assert arith_kernel("%", ("int", left), ("int", right))[1].tolist() == [-1, 1, -1, 1]
 
 
 def test_arith_overflow_and_div_zero_fall_back():
@@ -298,6 +373,24 @@ def test_arith_overflow_and_div_zero_fall_back():
         arith_kernel("/", ("int", one), ("int", zero))
     with pytest.raises(ColumnarFallback):
         arith_kernel("%", ("int", one), ("int", zero))
+    with pytest.raises(ColumnarFallback):  # -(2**63) / -1 overflows int64
+        arith_kernel(
+            "/", ("int", np.array([-(2**63)], dtype=np.int64)), ("int", -one)
+        )
+
+
+def test_division_in_a_mixed_int_float_column_falls_back_when_inexact():
+    """A mixed int/float column converts to float64, but ``7 / 2`` between
+    two of its ints truncates in the core: the kernel may only answer where
+    true division and integer division agree."""
+    vd = ValueDict()
+    mixed = vd.numeric(_encode(vd, [7, 2.5, -7]))
+    twos = ("int", np.array([2, 2, 2], dtype=np.int64))
+    with pytest.raises(ColumnarFallback):
+        arith_kernel("/", mixed, twos)
+    exact = vd.numeric(_encode(vd, [8, 2.5, -6]))
+    _kind, result = arith_kernel("/", exact, twos)
+    assert result.tolist() == [semantics.arith("/", v, 2) for v in (8, 2.5, -6)]
 
 
 def test_mixed_dtype_column_falls_back_in_numeric():
@@ -355,20 +448,7 @@ def _reference_reduce(func, group_ids, group_count, values):
     buckets = {g: [] for g in range(group_count)}
     for g, v in zip(group_ids, values if values is not None else group_ids):
         buckets[g].append(v)
-    out = []
-    for g in range(group_count):
-        vals = buckets[g]
-        if func == "count":
-            out.append(len(vals))
-        elif func == "sum":
-            out.append(sum(vals))
-        elif func == "min":
-            out.append(min(vals))
-        elif func == "max":
-            out.append(max(vals))
-        elif func == "avg":
-            out.append(sum(vals) / len(vals))
-    return out
+    return [semantics.aggregate(func, buckets[g]) for g in range(group_count)]
 
 
 @given(

@@ -7,8 +7,8 @@ Two layers of checks:
   body atoms, seed-style comparison fixpoint and existential negation at the
   end) across a battery of rule shapes;
 * whole programs — the repository's example programs among them — must
-  produce identical results whichever engine mode evaluates them (cached
-  plans + incremental indexes vs. the seed strategy).
+  produce identical results on the default engine and on the reference
+  plan interpreter.
 """
 
 import pytest
@@ -26,19 +26,18 @@ from repro.dlir.core import (
     Var,
     Wildcard,
 )
+from repro.common.semantics import compare
 from repro.engines.datalog import (
     DatalogEngine,
     FactStore,
+    InterpretedExecutor,
     PlanCache,
     RelationStats,
     plan_rule,
 )
-from repro.engines.datalog.evaluation import (
-    _compare,
-    evaluate_rule,
-    evaluate_term,
-    rule_solutions,
-)
+from repro.engines.datalog.evaluation import evaluate_term, rule_solutions
+
+evaluate_rule = InterpretedExecutor().evaluate_rule
 
 # ---------------------------------------------------------------------------
 # Brute-force reference evaluator (the seed semantics, without any indexes)
@@ -91,7 +90,7 @@ def reference_solutions(rule, store, delta_index=None, delta_rows=None):
                     name in bindings for name in _term_vars(comparison.right)
                 )
                 if left_bound and right_bound:
-                    if not _compare(
+                    if not compare(
                         comparison.op,
                         evaluate_term(comparison.left, bindings),
                         evaluate_term(comparison.right, bindings),
@@ -520,7 +519,8 @@ def test_engine_exposes_replan_counters():
 
 
 # ---------------------------------------------------------------------------
-# Whole-program equivalence across engine modes (example programs)
+# Whole-program equivalence of the default engine and the reference
+# interpreter (example programs)
 # ---------------------------------------------------------------------------
 
 QUICKSTART_SCHEMA = """
@@ -574,21 +574,12 @@ POINTS_TO_FACTS = {
 }
 
 
-def _run_both_modes(program, facts):
-    current = DatalogEngine(program, facts)
-    seedlike = DatalogEngine(
-        program, facts, incremental_indexes=False, reuse_plans=False
-    )
-    return current, seedlike
-
-
 def _assert_modes_agree(program, facts, relations=None):
-    current, seedlike = _run_both_modes(program, facts)
-    current.run()
-    seedlike.run()
+    current = DatalogEngine(program, facts)
+    reference = DatalogEngine(program, facts, executor="interpreted")
     relations = relations or program.outputs
     for relation in relations:
-        assert current.query(relation).same_rows(seedlike.query(relation))
+        assert current.query(relation).same_rows(reference.query(relation))
 
 
 def test_example_quickstart_agrees_across_modes():

@@ -98,15 +98,6 @@ def test_replace_drops_indexes_for_rebuild():
     assert store.index_build_count == 2  # one initial build, one after replace
 
 
-def test_legacy_mode_rebuilds_on_every_growth():
-    store = FactStore(maintain_indexes=False)
-    store.add("edge", (1, 2))
-    assert store.lookup("edge", [0], (1,)) == [(1, 2)]
-    store.add("edge", (1, 3))
-    assert sorted(store.lookup("edge", [0], (1,))) == [(1, 2), (1, 3)]
-    assert store.index_build_count == 2
-
-
 def test_delta_view_scan_and_lookup():
     view = DeltaView([(1, 2), (1, 3), (2, 3)])
     assert len(view) == 3

@@ -34,7 +34,8 @@ from repro.engines.datalog import (
     create_executor,
     plan_rule,
 )
-from repro.engines.datalog.evaluation import evaluate_rule
+
+evaluate_rule = InterpretedExecutor().evaluate_rule
 
 
 @pytest.fixture()

@@ -19,7 +19,6 @@ from repro.engines.datalog.storage_sqlite import SQLiteFactStore
 
 BACKENDS = [
     pytest.param(lambda: FactStore(), id="memory"),
-    pytest.param(lambda: FactStore(maintain_indexes=False), id="memory-legacy"),
     pytest.param(lambda: SQLiteFactStore(), id="sqlite"),
 ]
 

@@ -6,14 +6,19 @@ deductive engine, a relational engine, a real SQL system (SQLite) and the
 graph-native interpreter -- with and without optimization.
 """
 
+import importlib.util
+
 import pytest
 
+from repro.common.errors import ExecutionError
+from repro.common.semantics import COMPARISON_TYPE_ERROR, DIVISION_BY_ZERO
 from repro.ldbc import complex_query_2, short_query_1
 from repro.ldbc.queries import (
     friend_reachability,
     friends_of_friends,
     shortest_path_query,
 )
+from tests.conftest import PAPER_FACTS
 
 
 def _compile_and_run_everywhere(raqlet, data, spec, optimized):
@@ -112,3 +117,64 @@ def test_optimized_and_unoptimized_agree_on_all_ldbc_queries(snb_raqlet, snb_dat
         unopt = snb_raqlet.run_on_datalog_engine(compiled, snb_data.facts, optimized=False)
         opt = snb_raqlet.run_on_datalog_engine(compiled, snb_data.facts, optimized=True)
         assert unopt.same_rows(opt)
+
+
+# -- scalar semantics: one meaning on every evaluator --------------------------
+
+_EVALUATORS = [
+    ("datalog", "interpreted"),
+    ("datalog", "compiled"),
+    ("datalog", "columnar"),
+    ("relational", None),
+    ("graph", None),
+]
+
+_ONE_PERSON = {"Person": [(43, "Alan", "10.0.0.2")]}
+
+
+def _outcome(raqlet, facts, query, engine, executor):
+    """The rows a query returns — or the ExecutionError text it raises."""
+    with raqlet.session(facts, executor=executor) as session:
+        try:
+            return sorted(session.execute(query, engine=engine).rows)
+        except ExecutionError as error:
+            return str(error)
+
+
+@pytest.mark.parametrize(
+    "query, facts, expected",
+    [
+        ("MATCH (a:Person) RETURN a.id AS id, a.id / 0 AS v", PAPER_FACTS, DIVISION_BY_ZERO),
+        ("MATCH (a:Person) RETURN a.id AS id, a.id % 0 AS v", PAPER_FACTS, DIVISION_BY_ZERO),
+        (
+            "MATCH (a:Person) RETURN a.id AS id, (0 - a.id) / 2 AS v",
+            PAPER_FACTS,
+            [(42, -21), (43, -21), (44, -22)],
+        ),
+        (
+            "MATCH (a:Person) RETURN a.id AS id, (0 - a.id) % 2 AS v",
+            PAPER_FACTS,
+            [(42, 0), (43, -1), (44, 0)],
+        ),
+        (
+            # one row, so the operands the message quotes cannot depend on
+            # an engine's iteration order
+            "MATCH (a:Person) WHERE a.firstName < 3 RETURN a.id AS id",
+            _ONE_PERSON,
+            COMPARISON_TYPE_ERROR % ("Alan", 3, "<"),
+        ),
+    ],
+    ids=["div-zero", "mod-zero", "negative-div", "negative-mod", "mixed-order"],
+)
+def test_scalar_semantics_agree_on_every_evaluator(paper_raqlet, query, facts, expected):
+    """``/``, ``%`` and ``<`` mean one thing: the three Datalog executors and
+    the relational and graph engines return identical rows or raise an
+    identical ``ExecutionError``, and SQLite — running the SQL Raqlet
+    emitted — agrees wherever it answers non-NULL."""
+    for engine, executor in _EVALUATORS:
+        if executor == "columnar" and importlib.util.find_spec("numpy") is None:
+            continue
+        outcome = _outcome(paper_raqlet, facts, query, engine, executor)
+        assert outcome == expected, (engine, executor)
+    if isinstance(expected, list):
+        assert _outcome(paper_raqlet, facts, query, "sqlite", None) == expected
