@@ -135,7 +135,7 @@ def test_dense_join_columnar_beats_compiled():
     prove the claim is about the vectorised path: the whole program ran
     columnar (zero static or runtime fallbacks).
     """
-    from repro.engines.datalog import ColumnarExecutor
+    from repro.engines.datalog.executor_columnar import ColumnarExecutor
 
     n = 100
     fast, fast_engine, executor = _run_dense_join(ColumnarExecutor, n)

@@ -50,10 +50,7 @@ def analyze_monotonicity(
         component = graph.scc_of.get(rule.head.relation)
         if component is None:
             continue
-        recursive = len(component) > 1 or graph.graph.has_edge(
-            rule.head.relation, rule.head.relation
-        )
-        if not recursive:
+        if not graph.is_recursive(rule.head.relation):
             continue
         for negated in rule.negated_atoms():
             if negated.atom.relation in component:

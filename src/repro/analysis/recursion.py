@@ -63,10 +63,7 @@ def analyze_linearity(
         component = graph.scc_of.get(rule.head.relation)
         if component is None:
             continue
-        is_recursive_component = len(component) > 1 or graph.graph.has_edge(
-            rule.head.relation, rule.head.relation
-        )
-        if not is_recursive_component:
+        if not graph.is_recursive(rule.head.relation):
             continue
         count = recursive_body_count(rule, component)
         if count == 0:

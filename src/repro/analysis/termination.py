@@ -59,10 +59,7 @@ def analyze_termination(
         component = graph.scc_of.get(rule.head.relation)
         if component is None:
             continue
-        recursive = len(component) > 1 or graph.graph.has_edge(
-            rule.head.relation, rule.head.relation
-        )
-        if not recursive:
+        if not graph.is_recursive(rule.head.relation):
             continue
         if _head_arithmetic_feeding_recursion(rule, component):
             if rule.subsume_min is not None or rule.subsume_max is not None:

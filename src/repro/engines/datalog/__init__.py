@@ -27,13 +27,11 @@ environment variable selects the step-by-step plan interpreter and
 ``executor="columnar"`` the NumPy column-array executor
 (:class:`~repro.engines.datalog.executor_columnar.ColumnarExecutor`;
 requires the ``repro[columnar]`` extra, falls back per-plan to compiled).
+The columnar module — and NumPy with it — loads only when a columnar
+executor is built, so import it from its own module.
 """
 
 from repro.engines.datalog.engine import DatalogEngine, evaluate_program
-from repro.engines.datalog.executor_columnar import (
-    ColumnarExecutor,
-    describe_columnar_plan,
-)
 from repro.engines.datalog.executor_compiled import (
     CompiledExecutor,
     InterpretedExecutor,
@@ -72,10 +70,8 @@ __all__ = [
     "create_store",
     "RuleExecutor",
     "CompiledExecutor",
-    "ColumnarExecutor",
     "InterpretedExecutor",
     "create_executor",
-    "describe_columnar_plan",
     "compile_plan",
     "generate_plan_source",
     "DeltaView",

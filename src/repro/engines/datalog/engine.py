@@ -341,14 +341,15 @@ class DatalogEngine:
 
         The delta-tracking counterpart of ``reset()`` + ``run()``: the IDB
         relations are snapshotted first and diffed after, so callers that
-        must observe changes (standing queries crossing a bulk-ingest
-        sentinel or a parameter rebind) get the same exact
+        must observe changes (standing queries that fell below the delta
+        log's floor, or a parameter rebind) get the same exact
         :class:`~repro.engines.datalog.ivm.MaintenanceReport` the
         incremental path produces.  ``fallback=True`` counts the event in
         ``full_rederive_count`` — pass it when this re-derivation replaces
-        a derivation that should have been maintainable (a bulk-ingest
-        sentinel crossed a standing query); a chosen cold path (first
-        derivation, binding change) leaves the counter untouched.
+        a derivation that should have been maintainable (a bulk ingest or
+        the log's retention left a standing query below the floor); a
+        chosen cold path (first derivation, binding change) leaves the
+        counter untouched.
         """
         return self._rederive_with_report(
             {}, {}, fallback=fallback, parameters=parameters

@@ -44,6 +44,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.engines.datalog.delta_log import net_entries
 from repro.engines.datalog.statistics import (
     RelationStats,
     StatsRegistry,
@@ -440,13 +441,12 @@ class RelationChangeLog:
         """Net the entries newer than ``version``; ``None`` past the floor."""
         if version < self._floor[name]:
             return None
-        net: Dict[Row, int] = {}
-        for entry_version, row, sign in self._entries[name]:
-            if entry_version > version:
-                net[row] = net.get(row, 0) + sign
-        added = [row for row, sign in net.items() if sign > 0]
-        removed = [row for row, sign in net.items() if sign < 0]
-        return added, removed
+        added, removed = net_entries(
+            (name, row, sign)
+            for entry_version, row, sign in self._entries[name]
+            if entry_version > version
+        )
+        return list(added.get(name, ())), list(removed.get(name, ()))
 
 
 class FactStore(StoreBackend):

@@ -7,23 +7,22 @@ deltas under a single-writer lock and bump a global **epoch**; readers
 ``pin()`` the current epoch and receive an :class:`EpochSnapshot` that keeps
 answering with the pinned state no matter how many writes land afterwards.
 
-The representation is the session delta log generalised into a per-epoch
-chain: the base store materialises the state as of a **floor** epoch, and
-every later epoch contributes one list of ``(relation, row, ±1)`` entries.
-A snapshot at epoch ``E`` reads "base ± net delta over ``(floor, E]``" — the
-net delta is folded once at pin time (with add/remove cancellation, the same
-arithmetic as the session's ``_fold_delta``) and is immutable afterwards, so
-snapshot reads take no locks.  When nothing is pinned, the chain prefix is
-folded into the base store (bounded by the positions of registered
-*consumers* — serving workers that still need the entries to feed
-incremental view maintenance), so the read fast path stays "delegate to the
-base store" and memory stays bounded.
+The representation is a :class:`~repro.engines.datalog.delta_log.DeltaLog`
+over a base store: the base materialises the state as of a **base epoch**,
+and every epoch is one logged batch of ``(relation, row, ±1)`` entries.  A
+snapshot at epoch ``E`` reads "base ± net delta over ``(base epoch, E]``" —
+the net delta is computed once at pin time and is immutable afterwards, so
+snapshot reads take no locks.  Whenever nothing is pinned the base is
+folded up to the latest epoch, so the read fast path stays "delegate to the
+base store"; the log itself keeps the batches its consuming queries have
+not read yet, within its retention bound.
 
 :class:`SnapshotView` is the per-worker adapter: a full ``StoreBackend``
 that routes shared-EDB reads through a pinned snapshot while keeping every
 derived (IDB) relation — and any transient EDB patches the IVM union-state
 machinery makes mid-maintenance — in a private in-memory store invisible to
-other workers.
+other workers.  A worker session over a view reads the shared log in place,
+up to the view's pinned epoch.
 
 Relations whose backing store cannot serve concurrent readers
 (``concurrent_reads = False``, e.g. SQLite's single connection) are
@@ -38,24 +37,22 @@ from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import ExecutionError
+from repro.engines.datalog.delta_log import DeltaLog, Entry
 from repro.engines.datalog.statistics import RelationStats, compute_stats
 from repro.engines.datalog.storage import (
     FactStore,
     Key,
-    Positions,
     Row,
     StoreBackend,
     StoreSpec,
     create_store,
 )
 
-#: one effective mutation: ``(relation, row, +1 | -1)`` — the session delta
-#: log entry shape, so chain suffixes feed ``Session`` logs verbatim.
-Entry = Tuple[str, Row, int]
-
-#: net delta of one relation versus the base floor: ``(added, removed)``
+#: net delta of one relation versus the base: ``(added, removed)``
 #: with ``added`` disjoint from the base and ``removed`` a subset of it.
 NetPair = Tuple[Set[Row], Set[Row]]
+
+_NO_ROWS: Set[Row] = frozenset()
 
 
 def _key_matches(row: Row, positions: Sequence[int], key: Key) -> bool:
@@ -76,39 +73,35 @@ class SharedEDB:
     store:
         The base backend (any :func:`create_store` spec or instance).  Data
         already in it is the state at epoch 0.
-    max_log_entries:
-        Soft bound on the delta chain.  When the chain exceeds it and no
-        reader is pinned, the chain is folded into the base even past
-        lagging consumers — those consumers then get ``None`` from
-        :meth:`delta_entries` and fall back to full re-derivation.
     """
 
-    def __init__(self, store: StoreSpec = None, *, max_log_entries: int = 100_000) -> None:
+    def __init__(self, store: StoreSpec = None) -> None:
         base = create_store(store)
         self._base = base
         self._base_mutex: Optional[threading.RLock] = (
             None if base.concurrent_reads else threading.RLock()
         )
         #: guards every piece of mutable metadata below (writes, pins,
-        #: consumer positions, net-delta cache, folding) — never held
-        #: during snapshot reads
+        #: net-delta cache, folding) — never held during snapshot reads
         self._lock = threading.RLock()
-        self._epoch = 0
-        self._floor = 0
-        self._chain: List[Tuple[int, List[Entry]]] = []
-        self._chain_len = 0
+        self._log = DeltaLog()
+        #: the epoch the base store materialises (never above a pinned one)
+        self._base_epoch = 0
         self._pins: Dict[int, int] = {}
-        self._consumers: Dict[int, int] = {}
-        self._consumer_seq = 0
-        self._net_cache: Dict[int, Dict[str, NetPair]] = {}
+        #: ``(epoch, net delta versus the base)`` for the latest epoch netted
+        self._head_net: Tuple[int, Dict[str, NetPair]] = (0, {})
         self._known: Set[str] = set(base.relation_names())
-        #: per-relation sorted epochs (> floor) at which the relation changed
+        #: per-relation sorted epochs (> base epoch) at which it changed
         self._touches: Dict[str, List[int]] = {}
         #: per-relation count of change epochs already folded into the base
         self._touch_base: Dict[str, int] = {}
-        self.max_log_entries = max_log_entries
         self.write_count = 0
         self.fold_count = 0
+
+    @property
+    def log(self) -> DeltaLog:
+        """The mutation log; worker sessions consume it in place."""
+        return self._log
 
     # -- base access (serialised when the backend needs it) -----------------
 
@@ -174,12 +167,12 @@ class SharedEDB:
         ``(inserted, retracted, epoch)``.
 
         Only *effective* changes are recorded (inserting a visible row or
-        retracting an absent one is a no-op), so the chain entries are valid
+        retracting an absent one is a no-op), so the log entries are valid
         IVM deltas.  A batch with zero effective changes does not bump the
         epoch.
         """
         with self._lock:
-            net = self._net_at(self._epoch)
+            net = self._current_net()
             # visibility overlay for rows touched earlier in this same batch
             overlay: Dict[str, Dict[Row, bool]] = {}
 
@@ -215,24 +208,22 @@ class SharedEDB:
                     retracted += 1
 
             if entries:
-                self._epoch += 1
-                self._chain.append((self._epoch, entries))
-                self._chain_len += len(entries)
+                epoch = self._log.append(entries)
                 touched_relations = {relation for relation, _, _ in entries}
                 for relation in touched_relations:
-                    self._touches.setdefault(relation, []).append(self._epoch)
+                    self._touches.setdefault(relation, []).append(epoch)
                 self._known.update(touched_relations)
                 self.write_count += 1
                 if not self._pins:
-                    self._maybe_fold()
-            return inserted, retracted, self._epoch
+                    self._fold()
+            return inserted, retracted, self._log.epoch
 
     # -- read side ----------------------------------------------------------
 
     @property
     def epoch(self) -> int:
         """The current (latest committed) epoch."""
-        return self._epoch
+        return self._log.epoch
 
     def is_known(self, name: str) -> bool:
         """Whether ``name`` has ever existed in the shared EDB."""
@@ -242,8 +233,8 @@ class SharedEDB:
         """Pin the current epoch; the returned snapshot keeps seeing exactly
         this state until :meth:`EpochSnapshot.release`."""
         with self._lock:
-            epoch = self._epoch
-            net = self._net_at(epoch)
+            epoch = self._log.epoch
+            net = self._current_net()
             self._pins[epoch] = self._pins.get(epoch, 0) + 1
             return EpochSnapshot(self, epoch, net)
 
@@ -255,7 +246,7 @@ class SharedEDB:
             else:
                 self._pins.pop(epoch, None)
                 if not self._pins:
-                    self._maybe_fold()
+                    self._fold()
 
     def pinned_epochs(self) -> Dict[int, int]:
         """Return ``{epoch: pin count}`` (diagnostics)."""
@@ -274,138 +265,63 @@ class SharedEDB:
             count += bisect_right(touches, epoch)
         return count
 
-    # -- IVM feed (serving workers) ------------------------------------------
-
-    def register_consumer(self) -> int:
-        """Register a delta consumer starting at the current epoch; entries
-        above its position are retained across folds.  Returns a token."""
-        with self._lock:
-            token = self._consumer_seq
-            self._consumer_seq += 1
-            self._consumers[token] = self._epoch
-            return token
-
-    def set_consumed(self, token: int, epoch: int) -> None:
-        """Record that consumer ``token`` has folded deltas up to ``epoch``."""
-        with self._lock:
-            if token in self._consumers and epoch > self._consumers[token]:
-                self._consumers[token] = epoch
-
-    def drop_consumer(self, token: int) -> None:
-        with self._lock:
-            self._consumers.pop(token, None)
-
-    def delta_entries(self, since: int, upto: Optional[int] = None) -> Optional[List[Entry]]:
-        """Effective entries for epochs in ``(since, upto]`` in commit order,
-        or ``None`` when the chain was folded past ``since`` (the caller
-        must fall back to full re-derivation)."""
-        with self._lock:
-            if upto is None:
-                upto = self._epoch
-            if since < self._floor:
-                return None
-            out: List[Entry] = []
-            for epoch, entries in self._chain:
-                if epoch <= since:
-                    continue
-                if epoch > upto:
-                    break
-                out.extend(entries)
-            return out
-
     # -- folding -------------------------------------------------------------
 
     def compact(self) -> bool:
-        """Fold the foldable chain prefix into the base store now.
+        """Fold the base store up to the latest epoch and compact the log.
 
-        Returns ``True`` when the floor advanced; a pinned reader (which the
-        fold would invalidate) makes this a no-op returning ``False``.
+        Returns ``True`` when either moved; a pinned reader (which the fold
+        would invalidate) makes this a no-op returning ``False``.
         """
         with self._lock:
-            if self._pins:
-                return False
-            floor_before = self._floor
-            self._maybe_fold()
-            return self._floor > floor_before
+            return not self._pins and self._fold()
 
-    def _maybe_fold(self) -> None:
-        # caller holds self._lock and has checked there are no pins
-        if not self._chain:
-            return
-        if self._chain_len > self.max_log_entries:
-            target = self._epoch  # overflow: laggard consumers lose retention
-        else:
-            target = self._epoch
-            if self._consumers:
-                target = min(target, min(self._consumers.values()))
-        if target <= self._floor:
-            return
-        folded: List[Entry] = []
-        kept: List[Tuple[int, List[Entry]]] = []
-        for epoch, entries in self._chain:
-            if epoch <= target:
-                folded.extend(entries)
-            else:
-                kept.append((epoch, entries))
-        with self._guard():
-            with self._base.batch():
-                for relation, row, sign in folded:
-                    if sign > 0:
-                        self._base.add(relation, row)
-                    else:
-                        self._base.remove(relation, row)
-        for relation, touches in list(self._touches.items()):
-            cut = bisect_right(touches, target)
-            if cut:
-                self._touch_base[relation] = self._touch_base.get(relation, 0) + cut
-                del touches[:cut]
-                if not touches:
-                    del self._touches[relation]
-        self._chain = kept
-        self._chain_len = sum(len(entries) for _, entries in kept)
-        self._floor = target
-        self._net_cache.clear()
-        self.fold_count += 1
+    def _fold(self) -> bool:
+        # caller holds self._lock and has checked there are no pins; the log
+        # compacts only here, after the base caught up, so its floor never
+        # passes the base epoch snapshots net from
+        epoch = self._log.epoch
+        folded = epoch != self._base_epoch
+        if folded:
+            added, removed = self._log.net(self._base_epoch, epoch)
+            with self._guard():
+                with self._base.batch():
+                    for relation, rows in removed.items():
+                        for row in rows:
+                            self._base.remove(relation, row)
+                    for relation, rows in added.items():
+                        for row in rows:
+                            self._base.add(relation, row)
+            for relation, touches in self._touches.items():
+                self._touch_base[relation] = self._touch_base.get(relation, 0) + len(touches)
+            self._touches.clear()
+            self._base_epoch = epoch
+            self._head_net = (epoch, {})
+            self.fold_count += 1
+        return self._log.compact() or folded
 
-    def _net_at(self, epoch: int) -> Dict[str, NetPair]:
-        # caller holds self._lock
-        net = self._net_cache.get(epoch)
-        if net is not None:
-            return net
-        staged: Dict[str, NetPair] = {}
-        for entry_epoch, entries in self._chain:
-            if entry_epoch > epoch:
-                break
-            for relation, row, sign in entries:
-                added, removed = staged.setdefault(relation, (set(), set()))
-                if sign > 0:
-                    if row in removed:
-                        removed.discard(row)
-                    else:
-                        added.add(row)
-                else:
-                    if row in added:
-                        added.discard(row)
-                    else:
-                        removed.add(row)
-        net = {relation: pair for relation, pair in staged.items() if pair[0] or pair[1]}
-        if len(self._net_cache) > 32:
-            for cached in list(self._net_cache):
-                if cached not in self._pins and cached != self._epoch:
-                    del self._net_cache[cached]
-        self._net_cache[epoch] = net
-        return net
+    def _current_net(self) -> Dict[str, NetPair]:
+        # caller holds self._lock; computed once per epoch, immutable after
+        epoch = self._log.epoch
+        if self._head_net[0] != epoch:
+            added, removed = self._log.net(self._base_epoch, epoch)
+            net = {
+                relation: (added.get(relation, _NO_ROWS), removed.get(relation, _NO_ROWS))
+                for relation in added.keys() | removed.keys()
+            }
+            self._head_net = (epoch, net)
+        return self._head_net[1]
 
     # -- lifecycle / diagnostics ---------------------------------------------
 
     def stats(self) -> Dict[str, object]:
         with self._lock:
             return {
-                "epoch": self._epoch,
-                "floor": self._floor,
-                "chain_entries": self._chain_len,
+                "epoch": self._log.epoch,
+                "floor": self._log.floor,
+                "chain_entries": len(self._log),
                 "pins": sum(self._pins.values()),
-                "consumers": dict(self._consumers),
+                "consumers": len(self._log.positions()),
                 "write_count": self.write_count,
                 "fold_count": self.fold_count,
                 "base": type(self._base).__name__,
@@ -534,7 +450,6 @@ class SnapshotView(StoreBackend):
         self._masked: Dict[str, Set[Row]] = {}
         self._patched: Set[str] = set()
         self._snap: Optional[EpochSnapshot] = None
-        self._consumer = shared.register_consumer()
 
     # -- read-window lifecycle ----------------------------------------------
 
@@ -556,16 +471,10 @@ class SnapshotView(StoreBackend):
     def pinned_epoch(self) -> Optional[int]:
         return self._snap.epoch if self._snap is not None else None
 
-    def delta_since(self, epoch: int) -> Optional[List[Entry]]:
-        """Shared-EDB entries between ``epoch`` and the pinned epoch, or
-        ``None`` when that span was folded away."""
-        snap = self._snapshot()
-        return self._shared.delta_entries(epoch, snap.epoch)
-
-    def mark_consumed(self, epoch: int) -> None:
-        """Tell the shared store this worker has folded deltas up to
-        ``epoch`` (releases chain retention)."""
-        self._shared.set_consumed(self._consumer, epoch)
+    @property
+    def log(self) -> DeltaLog:
+        """The shared mutation log, read in place up to :attr:`pinned_epoch`."""
+        return self._shared.log
 
     def _snapshot(self) -> EpochSnapshot:
         snap = self._snap
@@ -739,4 +648,3 @@ class SnapshotView(StoreBackend):
 
     def close(self) -> None:
         self.end_read()
-        self._shared.drop_consumer(self._consumer)

@@ -62,8 +62,8 @@ class ResultDelta:
     """One notification: the result rows a standing query gained and lost.
 
     ``added``/``removed`` are sorted row lists in the query's return-column
-    order (``columns``); ``epoch`` is the session mutation epoch the delta
-    brought the subscriber up to.  Exactly the before/after set difference
+    order (``columns``); ``epoch`` is the session's delta-log epoch the delta
+    brought the subscriber up to (for a serving worker, the shared epoch).  Exactly the before/after set difference
     of the query's full result — oracle-checked by the differential suite.
     """
 

@@ -25,20 +25,22 @@ binding, same shared epoch — share one execution: followers get the same
 arriving after a mutation never reuses a pre-mutation execution.
 
 **Mutations** go through :meth:`ServingPool.mutate` straight into the shared
-store (single-writer, epoch bump).  Workers discover the new epoch at their
-next request, feed the delta-chain suffix into their session's log, and the
-prepared queries maintain incrementally — O(|delta|) per worker, zero full
-re-derivations on the streaming path.
+store (single-writer, epoch bump).  A worker's session reads the shared
+delta log in place: at its next request the worker pins the new epoch, and
+each prepared query nets the log batches since its own position and
+maintains incrementally — O(|delta|) per worker, zero full re-derivations on
+the streaming path.
 
 **Subscriptions** ride the same machinery: :meth:`ServingPool.subscribe`
 routes a ``(statement, binding)`` to a worker by the same affinity map and
 registers a standing query on that worker's session
 (:class:`~repro.reactive.subscriptions.SubscriptionManager`); every
 :meth:`mutate` then pokes the subscription-owning workers, whose sync
-flushes the session's reactive layer and pushes exact ``(added, removed)``
-result deltas to the pool-level listeners — O(|delta|) per standing query,
-no re-execution, exactly-once per epoch (a worker that already synced for a
-query request simply has nothing left to deliver when the poke arrives).
+flushes the session's reactive layer at the pinned shared epoch and pushes
+exact ``(added, removed)`` result deltas, stamped with that epoch, to the
+pool-level listeners — O(|delta|) per standing query, no re-execution,
+exactly-once per epoch (a worker that already flushed for a query request
+simply has nothing left to deliver when the poke arrives).
 """
 
 from __future__ import annotations
@@ -115,8 +117,6 @@ class _Worker:
             namespace=f"w{index}",
             **pool._engine_options,
         )
-        #: shared epoch already folded into the session's delta log
-        self.synced_epoch = pool._shared.epoch
         #: statement name -> (statement version, PreparedQuery)
         self.prepared: Dict[str, Tuple[int, PreparedQuery]] = {}
         self.queue: "queue.SimpleQueue" = queue.SimpleQueue()
@@ -413,16 +413,13 @@ class ServingPool:
             sid = next(self._subscription_seq)
 
         def callback(delta, _sid=sid, _name=name) -> None:
-            # Re-stamp with the shared epoch the worker just synced to —
-            # the session-internal epoch means nothing outside the worker.
-            delta.epoch = worker.synced_epoch
             self.notification_count += 1
             listener(_sid, _name, delta)
 
         def control(holder: Future) -> None:
             worker.view.begin_read()
             try:
-                self._sync_worker(worker)
+                worker.session.reactive.flush()
                 holder.set_result(
                     worker.session.reactive.subscribe(
                         statement.compiled, callback, parameters=params, name=name
@@ -463,10 +460,10 @@ class ServingPool:
         """Ask every subscription-owning worker to catch up and deliver.
 
         Called by :meth:`mutate` after each effective batch (and by the
-        optional ticker): the worker syncs the shared delta chain into its
-        session, whose reactive layer flushes the standing queries and
-        fires the listeners.  Idempotent per epoch — a worker that is
-        already current delivers nothing.  Returns the worker count poked.
+        optional ticker): the worker pins the current shared epoch and its
+        session's reactive layer flushes the standing queries and fires the
+        listeners.  Idempotent per epoch — a worker that is already current
+        delivers nothing.  Returns the worker count poked.
         """
         with self._dispatch_lock:
             if self._closed:
@@ -494,9 +491,7 @@ class ServingPool:
         def control() -> None:
             worker.view.begin_read()
             try:
-                # The sync feeds the session's delta log; the session's
-                # reactive auto-flush then delivers inside this read span.
-                self._sync_worker(worker)
+                worker.session.reactive.flush()
             finally:
                 worker.view.end_read()
 
@@ -526,34 +521,13 @@ class ServingPool:
             else:
                 self._finish(task, response, None)
 
-    def _sync_worker(self, worker: _Worker) -> int:
-        """Fold the shared delta chain into the worker's session log.
-
-        Caller must hold a ``begin_read`` span.  Prepared queries then
-        maintain incrementally on their next run, and the session's
-        reactive layer flushes (delivering subscription notifications)
-        before this returns.  Idempotent per epoch.
-        """
-        epoch = worker.view.pinned_epoch
-        if epoch != worker.synced_epoch:
-            entries = worker.view.delta_since(worker.synced_epoch)
-            # Stamp the target epoch before folding: subscription listeners
-            # fire *during* the fold (auto-flush) and tag their deltas with
-            # the shared epoch the worker is syncing to.
-            previous = worker.synced_epoch
-            worker.synced_epoch = epoch
-            try:
-                worker.session.sync_external_mutations(entries)
-            except BaseException:
-                worker.synced_epoch = previous
-                raise
-            worker.view.mark_consumed(epoch)
-        return epoch
-
     def _execute(self, worker: _Worker, task: _QueryTask) -> ServedResponse:
-        worker.view.begin_read()
+        epoch = worker.view.begin_read()
         try:
-            epoch = self._sync_worker(worker)
+            # Standing queries catch up to the pinned epoch first (their
+            # notifications carry it); the prepared query nets the shared
+            # log up to the same epoch inside run().
+            worker.session.reactive.flush()
             prepared = self._prepared_for(worker, task.statement)
             result = prepared.run(dict(task.params))
             worker.executed_count += 1

@@ -20,11 +20,13 @@ Soufflé's separation of program compilation from fact loading):
   arguments — a warm run performs **zero** fact re-ingest, **zero** index
   rebuilds and **zero** plan recompiles;
 * :meth:`Session.insert` / :meth:`Session.retract` mutate the shared EDB and
-  log the *effective* per-row delta; on its next run each prepared query
-  folds the rows logged since its last derivation and hands them to the
-  engine's incremental maintainer (:mod:`repro.engines.datalog.ivm`), so
-  mutation cost scales with |Δ|, not |IDB| — programs the maintainer cannot
-  handle fall back transparently to mark-dirty + full re-derivation.
+  log the *effective* per-row delta in the session's
+  :class:`~repro.engines.datalog.delta_log.DeltaLog`; on its next run each
+  prepared query nets the batches logged since its last derivation and
+  hands them to the engine's incremental maintainer
+  (:mod:`repro.engines.datalog.ivm`), so mutation cost scales with |Δ|, not
+  |IDB| — programs the maintainer cannot handle fall back transparently to
+  mark-dirty + full re-derivation.
 
 The lifecycle::
 
@@ -42,13 +44,9 @@ import re
 import time
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from repro.common.errors import RaqletError, UnsupportedFeatureError
-from repro.dlir import (
-    DLIRProgram,
-    bind_parameters,
-    program_param_names,
-    rename_relations,
-)
+from repro.common.errors import RaqletError
+from repro.dlir import DLIRProgram, program_param_names, rename_relations
+from repro.engines.datalog.delta_log import DeltaLog
 from repro.engines.datalog.engine import DatalogEngine
 from repro.engines.datalog.executor_compiled import (
     ExecutorSpec,
@@ -56,18 +54,11 @@ from repro.engines.datalog.executor_compiled import (
     create_executor,
 )
 from repro.engines.datalog.storage import StoreBackend, StoreSpec, create_store
+from repro.engines.datalog.storage_shared import SnapshotView
 from repro.engines.result import QueryResult
 
 FactsInput = Mapping[str, Iterable[Tuple]]
 ParamValues = Mapping[str, object]
-
-#: a delta-log entry: ``(relation, row, +1 | -1)``; the sentinel
-#: ``_BULK_MUTATION`` marks a bulk ingest whose per-row delta was not
-#: tracked, forcing consumers behind it onto the full re-derivation path
-_BULK_MUTATION: Tuple[Optional[str], Optional[Tuple], int] = (None, None, 0)
-
-#: delta-log length beyond which fully-consumed prefixes are compacted
-_DELTA_LOG_COMPACT_THRESHOLD = 256
 
 #: engines :meth:`Session.execute` can route to ("auto" picks the Datalog
 #: engine, the only backend whose capability check never rejects a query)
@@ -179,10 +170,9 @@ class PreparedQuery:
         self._track_deltas = False
         self._derived = False
         self._last_params: Optional[Dict[str, object]] = None
+        #: the session epoch this query's derivation is current at — its
+        #: position in the session's delta log once it has derived
         self._mutation_epoch = -1
-        #: position in the session's delta log up to which this query's
-        #: derivation is current (``None`` until the first derivation)
-        self._delta_pos: Optional[int] = None
         session._register_prepared(self)
         #: wall-clock seconds of the most recent :meth:`run`
         self.last_run_seconds = 0.0
@@ -328,7 +318,8 @@ class PreparedQuery:
         """
         if self._is_warm(params):
             return None
-        report = self._maintain_incrementally(params)
+        epoch = self._session.mutation_epoch
+        report = self._maintain_incrementally(params, epoch)
         if report is None:
             # Mark-dirty + lazy re-derive: clear this query's (namespaced)
             # IDB relations and evaluate against the hot EDB.  This is the
@@ -349,29 +340,29 @@ class PreparedQuery:
                 self._engine.run()
             self._derived = True
             self._last_params = dict(params)
-        self._mutation_epoch = self._session.mutation_epoch
-        self._delta_pos = self._session._log_position()
+        self._mutation_epoch = epoch
+        self._session._log.consume(self, epoch)
         return report
 
-    def _maintain_incrementally(self, params: Dict[str, object]):
-        """Fold the EDB rows mutated since the last derivation into the
-        engine's incremental maintainer.
+    def _maintain_incrementally(self, params: Dict[str, object], epoch: int):
+        """Fold the EDB rows mutated since the last derivation, up to
+        ``epoch``, into the engine's incremental maintainer.
 
         Only applicable when the previous derivation exists, used the same
-        binding, and every mutation since is covered by the session's
-        per-row delta log (a bulk :meth:`Session.ingest` is not).  Returns
-        the engine's :class:`~repro.engines.datalog.ivm.MaintenanceReport`
-        when the derived relations were brought current, ``None`` when the
-        caller must take the cold path.
+        binding, and the session's delta log still covers every mutation
+        since (a bulk :meth:`Session.ingest` raises its floor, and an idle
+        query can fall below the log's retention).  Returns the engine's
+        :class:`~repro.engines.datalog.ivm.MaintenanceReport` when the
+        derived relations were brought current, ``None`` when the caller
+        must take the cold path.
         """
         if not (
             self._session._ivm
             and self._derived
             and self._last_params == params
-            and self._delta_pos is not None
         ):
             return None
-        delta = self._session._fold_delta(self._delta_pos)
+        delta = self._session._log.net(self._mutation_epoch, epoch)
         if delta is None:
             return None
         added, removed = delta
@@ -413,27 +404,23 @@ class Session:
         #: ``ivm=False`` to force mark-dirty + re-derive.
         self.engine_options = {"replan_threshold": replan_threshold, "ivm": ivm}
         self._ivm = bool(ivm)
-        # Append-only log of effective EDB row mutations ``(relation, row,
-        # ±1)``; each prepared query remembers the position its derivation
-        # is current at and folds the suffix on its next run.  Consumed
-        # prefixes are compacted away in _note_mutation().
-        self._delta_log: List[Tuple[Optional[str], Optional[Tuple], int]] = []
-        self._delta_log_offset = 0
+        # The log of effective EDB row mutations; prepared and standing
+        # queries consume it.  A worker session over a shared-EDB view reads
+        # the shared log in place, up to the epoch its view pinned.
+        self._view = self._store if isinstance(self._store, SnapshotView) else None
+        self._log = self._view.log if self._view is not None else DeltaLog()
         self._all_prepared: List[PreparedQuery] = []
         #: how many times the session ingested an EDB fact batch (the warm
         #: path asserts this stays at 1)
         self.ingest_count = 0
-        #: bumped by every insert()/retract(); prepared queries compare it
-        #: to decide whether their derived result is stale
-        self.mutation_epoch = 0
         self._namespace_serial = 0
         #: pre-namespace names of relations derived by prepared queries
         self._derived_originals: set = set()
         self._prepared: Dict[Tuple[str, str, bool, bool], PreparedQuery] = {}
-        # Lazily materialised secondary engines (invalidated on mutation).
-        self._sqlite_executor = None
-        self._relational_database = None
-        self._property_graph = None
+        # EDB copies for the secondary engines, built on first use and
+        # dropped once the epoch moves past ``_secondary_epoch``.
+        self._secondaries: Dict[str, object] = {}
+        self._secondary_epoch = -1
         # The reactive subsystem (standing queries, subscriptions, rules) —
         # materialised on first use so plain sessions pay nothing for it.
         self._reactive = None
@@ -458,6 +445,16 @@ class Session:
         """Return the compiler this session compiles queries with."""
         return self._raqlet
 
+    @property
+    def mutation_epoch(self) -> int:
+        """The delta-log epoch this session reads at; prepared queries
+        compare it to decide whether their derived result is stale.  It
+        advances on every effective mutation batch; a worker session reads
+        its view's pinned shared epoch."""
+        if self._view is not None:
+            return self._view.pinned_epoch
+        return self._log.epoch
+
     def _next_namespace(self) -> str:
         """Return a fresh IDB-namespace suffix for one prepared query."""
         self._namespace_serial += 1
@@ -476,13 +473,15 @@ class Session:
         for relation in facts:
             self._check_extensional(relation)
         self.ingest_count += 1
+        added = 0
         with self._store.batch():
             for relation, rows in facts.items():
-                self._store.add_many(relation, (tuple(row) for row in rows))
-        # Bulk loads skip per-row delta tracking (that is what makes them
-        # fast); the sentinel forces every consumer behind this point onto
-        # the full re-derivation path once.
-        self._delta_log.append(_BULK_MUTATION)
+                added += self._store.add_many(relation, (tuple(row) for row in rows))
+        if added:
+            # Bulk loads skip per-row delta tracking (that is what makes
+            # them fast); raising the log's floor sends every query derived
+            # before this point down the full re-derivation path once.
+            self._log.raise_floor()
         self._note_mutation()
 
     # -- preparing and executing queries -----------------------------------
@@ -551,18 +550,40 @@ class Session:
         params = prepared._resolve_params(parameters, bindings)
         if engine in ("auto", "datalog"):
             return prepared.run(params)
+        compiled, optimized = prepared.compiled, prepared._optimized
+        target = self._secondary(engine)
         if engine == "relational":
-            return self._execute_relational(prepared, params)
+            return self._raqlet.run_on_relational_engine(
+                compiled, target, optimized, params
+            )
         if engine == "sqlite":
-            return self._execute_sqlite(prepared, params)
-        return self._execute_graph(prepared, params)
+            return self._raqlet.run_on_sqlite(compiled, target, optimized, params)
+        return self._raqlet.run_on_graph_engine(compiled, target, params)
 
     # -- secondary engines -------------------------------------------------
 
-    def _check_capability(self, prepared: PreparedQuery, backend: str) -> None:
-        problems = prepared.compiled.backend_problems(backend)
-        if problems:
-            raise UnsupportedFeatureError("; ".join(problems), backend=backend)
+    def _secondary(self, engine: str):
+        """Return the EDB copy ``engine`` runs on: built on first use and
+        rebuilt once the session's epoch has moved."""
+        epoch = self.mutation_epoch
+        if self._secondary_epoch != epoch:
+            self._drop_secondaries()
+            self._secondary_epoch = epoch
+        target = self._secondaries.get(engine)
+        if target is None:
+            build = {
+                "relational": self._build_database,
+                "sqlite": self._build_sqlite,
+                "graph": self._build_property_graph,
+            }[engine]
+            target = self._secondaries[engine] = build()
+        return target
+
+    def _drop_secondaries(self) -> None:
+        sqlite_executor = self._secondaries.pop("sqlite", None)
+        if sqlite_executor is not None:
+            sqlite_executor.close()
+        self._secondaries.clear()
 
     def _edb_facts(self) -> Dict[str, List[Tuple]]:
         """Materialise the session's current EDB from the shared store."""
@@ -573,61 +594,26 @@ class Session:
                 facts[relation.name] = [tuple(row) for row in rows]
         return facts
 
-    def _execute_relational(
-        self, prepared: PreparedQuery, params: Dict[str, object]
-    ) -> QueryResult:
-        from repro.engines.relational import Database, RelationalEngine
-        from repro.sqir import translate_dlir_to_sqir
+    def _build_database(self):
+        from repro.engines.relational import Database
 
-        self._check_capability(prepared, "relational-engine")
-        if self._relational_database is None:
-            database = Database()
-            for relation in self._raqlet.dl_schema.edb_relations():
-                database.create_table(relation.name, relation.column_names())
-                database.insert_many(relation.name, self._store.scan(relation.name))
-            self._relational_database = database
-        # The in-repo relational engine has no runtime parameter binding:
-        # substitute the values into the program and translate per run.
-        bound = bind_parameters(prepared._program, params)
-        return RelationalEngine(self._relational_database).execute(
-            translate_dlir_to_sqir(bound)
-        )
+        database = Database()
+        for relation in self._raqlet.dl_schema.edb_relations():
+            database.create_table(relation.name, relation.column_names())
+            database.insert_many(relation.name, self._store.scan(relation.name))
+        return database
 
-    def _execute_sqlite(
-        self, prepared: PreparedQuery, params: Dict[str, object]
-    ) -> QueryResult:
+    def _build_sqlite(self):
         from repro.engines.sqlite_exec import SQLiteExecutor
 
-        self._check_capability(prepared, "sqlite")
-        if self._sqlite_executor is None:
-            executor = SQLiteExecutor(self._raqlet.dl_schema, self._edb_facts())
-            executor.create_indexes()
-            self._sqlite_executor = executor
-        # The generated SQL keeps named ``:name`` placeholders; SQLite
-        # binds them natively, so the SQL text is also reusable per run.
-        sql = prepared.compiled.sql_text(prepared._optimized, dialect="sqlite")
-        return self._sqlite_executor.execute_sql(sql, params)
+        executor = SQLiteExecutor(self._raqlet.dl_schema, self._edb_facts())
+        executor.create_indexes()
+        return executor
 
-    def _execute_graph(
-        self, prepared: PreparedQuery, params: Dict[str, object]
-    ) -> QueryResult:
-        from repro.engines.graph import GraphEngine, facts_to_property_graph
+    def _build_property_graph(self):
+        from repro.engines.graph import facts_to_property_graph
 
-        compiled = prepared.compiled
-        if compiled.lowering is None:
-            raise RaqletError("graph execution requires a Cypher input query")
-        if self._property_graph is None:
-            self._property_graph = facts_to_property_graph(
-                self._edb_facts(), self._raqlet.mapping
-            )
-        # The graph interpreter evaluates PGIR directly; re-lower with the
-        # binding inlined (compilation here is a few AST passes, not a plan
-        # rebuild — the graph engine has no cached plans to preserve).
-        bound = self._raqlet.compile_cypher(
-            compiled.source_text, params, optimize=False
-        )
-        assert bound.lowering is not None
-        return GraphEngine(self._property_graph).execute(bound.lowering)
+        return facts_to_property_graph(self._edb_facts(), self._raqlet.mapping)
 
     # -- mutation ----------------------------------------------------------
 
@@ -635,23 +621,14 @@ class Session:
         """Insert extensional facts; returns how many were new.
 
         Derived results are not touched here — each prepared query notices
-        the bumped mutation epoch on its next run and folds the logged
+        the advanced mutation epoch on its next run and folds the logged
         per-row delta into its engine's incremental maintainer (falling
         back to a full re-derivation when the program is unmaintainable).
         Already-present rows change nothing and are not logged: the delta
-        log records *effective* mutations only.
+        log records *effective* mutations only, and a batch without one
+        leaves the epoch where it was.
         """
-        self._check_open()
-        self._check_extensional(relation)
-        added = 0
-        with self._store.batch():
-            for row in rows:
-                row = tuple(row)
-                if self._store.add(relation, row):
-                    added += 1
-                    self._delta_log.append((relation, row, 1))
-        self._note_mutation()
-        return added
+        return self._mutate(relation, rows, self._store.add, 1)
 
     def retract(self, relation: str, rows: Iterable[Tuple]) -> int:
         """Remove extensional facts; returns how many were present.
@@ -661,48 +638,26 @@ class Session:
         maintainer counts derivations per row (or re-derives, in recursive
         strata), so the derived fact survives as long as any support does.
         """
+        return self._mutate(relation, rows, self._store.remove, -1)
+
+    def _mutate(self, relation: str, rows: Iterable[Tuple], apply, sign: int) -> int:
         self._check_open()
         self._check_extensional(relation)
-        removed = 0
+        entries = []
         with self._store.batch():
             for row in rows:
                 row = tuple(row)
-                if self._store.remove(relation, row):
-                    removed += 1
-                    self._delta_log.append((relation, row, -1))
+                if apply(relation, row):
+                    entries.append((relation, row, sign))
+        self._log.append(entries)
         self._note_mutation()
-        return removed
-
-    def sync_external_mutations(
-        self,
-        entries: Optional[Iterable[Tuple[str, Tuple, int]]],
-    ) -> None:
-        """Fold EDB mutations applied *outside* this session into its log.
-
-        The serving layer's workers share one epoch-versioned EDB: writes go
-        through the shared store, not through :meth:`insert`/:meth:`retract`,
-        and each worker session learns about them here before its next read.
-        ``entries`` is the effective ``(relation, row, ±1)`` sequence — the
-        shared store's delta-chain suffix — which prepared queries then fold
-        into their engines' incremental maintainers exactly like native
-        session mutations.  ``None`` means the span is unknown (the chain
-        was compacted past this worker): the bulk sentinel is logged and
-        every prepared query re-derives once.  An empty sequence is a no-op.
-        """
-        self._check_open()
-        if entries is None:
-            self._delta_log.append(_BULK_MUTATION)
-            self._note_mutation()
-            return
-        entries = list(entries)
-        if not entries:
-            return
-        self._delta_log.extend(
-            (relation, tuple(row), sign) for relation, row, sign in entries
-        )
-        self._note_mutation()
+        return len(entries)
 
     def _check_extensional(self, relation: str) -> None:
+        if self._view is not None:
+            raise RaqletError(
+                "this session reads a shared EDB; mutate it through its writer"
+            )
         # Both name spaces are rejected: the renamed derived relations (the
         # store's IDB marks) and their original names — an insert under an
         # original name would land in the shared store but never reach the
@@ -714,14 +669,7 @@ class Session:
             )
 
     def _note_mutation(self) -> None:
-        self.mutation_epoch += 1
-        self._compact_delta_log()
-        # Secondary engines are full materialisations; rebuild them lazily.
-        if self._sqlite_executor is not None:
-            self._sqlite_executor.close()
-            self._sqlite_executor = None
-        self._relational_database = None
-        self._property_graph = None
+        self._log.compact()
         # Commit point of the mutation batch: standing queries catch up and
         # subscriptions/rules fire now (re-entrant mutations from rule
         # actions are absorbed by the flush's own cascade loop).
@@ -772,67 +720,13 @@ class Session:
         self._all_prepared.append(prepared)
 
     def _unregister_prepared(self, prepared: PreparedQuery) -> None:
-        """Stop tracking ``prepared`` (a replaced serving statement): its
-        stale consumption position must no longer pin the delta log."""
+        """Stop tracking ``prepared`` (a replaced serving statement, a torn
+        down standing query): it must no longer pin the delta log."""
+        self._log.release(prepared)
         try:
             self._all_prepared.remove(prepared)
         except ValueError:
             pass
-
-    def _log_position(self) -> int:
-        """Return the log position representing "current as of now"."""
-        return self._delta_log_offset + len(self._delta_log)
-
-    def _fold_delta(
-        self, position: int
-    ) -> Optional[Tuple[Dict[str, set], Dict[str, set]]]:
-        """Fold the log suffix since ``position`` into ``(added, removed)``.
-
-        Opposite mutations of the same row cancel (each entry is an
-        *effective* change, so an insert following a retract restores the
-        original row exactly).  Returns ``None`` when the suffix contains a
-        bulk-ingest sentinel or was compacted away — the caller must take
-        the full re-derivation path.
-        """
-        start = position - self._delta_log_offset
-        if start < 0:
-            return None
-        added: Dict[str, set] = {}
-        removed: Dict[str, set] = {}
-        for relation, row, sign in self._delta_log[start:]:
-            if sign == 0:
-                return None
-            if sign > 0:
-                rows = removed.get(relation)
-                if rows is not None and row in rows:
-                    rows.discard(row)
-                else:
-                    added.setdefault(relation, set()).add(row)
-            else:
-                rows = added.get(relation)
-                if rows is not None and row in rows:
-                    rows.discard(row)
-                else:
-                    removed.setdefault(relation, set()).add(row)
-        return added, removed
-
-    def _compact_delta_log(self) -> None:
-        """Drop the log prefix every prepared query has already consumed."""
-        if len(self._delta_log) < _DELTA_LOG_COMPACT_THRESHOLD:
-            return
-        end = self._log_position()
-        floor = min(
-            (
-                prepared._delta_pos
-                for prepared in self._all_prepared
-                if prepared._delta_pos is not None
-            ),
-            default=end,
-        )
-        drop = floor - self._delta_log_offset
-        if drop > 0:
-            del self._delta_log[:drop]
-            self._delta_log_offset = floor
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -852,9 +746,9 @@ class Session:
         if self._reactive is not None:
             self._reactive.close()
             self._reactive = None
-        if self._sqlite_executor is not None:
-            self._sqlite_executor.close()
-            self._sqlite_executor = None
+        self._drop_secondaries()
+        for prepared in self._all_prepared:
+            self._log.release(prepared)
         if self._owns_store:
             self._store.close()
 

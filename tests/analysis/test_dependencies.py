@@ -28,9 +28,9 @@ def _mutual_program():
 
 def test_edges_point_from_body_to_head():
     graph = build_dependency_graph(_tc_program())
-    assert graph.graph.has_edge("edge", "tc")
-    assert graph.graph.has_edge("tc", "tc")
-    assert not graph.graph.has_edge("tc", "edge")
+    assert "tc" in graph.graph["edge"]
+    assert "tc" in graph.graph["tc"]
+    assert "edge" not in graph.graph["tc"]
 
 
 def test_depends_on_and_dependents():

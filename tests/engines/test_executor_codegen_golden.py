@@ -39,12 +39,8 @@ from repro.dlir.core import (
     Var,
     Wildcard,
 )
-from repro.engines.datalog import (
-    FactStore,
-    describe_columnar_plan,
-    generate_plan_source,
-    plan_rule,
-)
+from repro.engines.datalog import FactStore, generate_plan_source, plan_rule
+from repro.engines.datalog.executor_columnar import describe_columnar_plan
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 

@@ -156,6 +156,38 @@ def test_insert_marks_dirty_and_rederives(raqlet):
         assert session.ingest_count == 1
 
 
+def test_idle_prepared_query_does_not_pin_the_delta_log(raqlet, monkeypatch):
+    """An idle query no longer holds the session's delta log forever: past
+    the retention bound the log folds past it, and its next run re-derives
+    once from scratch (the right rows, no incremental pass)."""
+    from repro.engines.datalog import delta_log
+
+    bound = 8
+    monkeypatch.setattr(delta_log, "RETENTION", bound)
+    facts = {name: list(rows) for name, rows in FACTS.items()}
+    with raqlet.session(facts) as session:
+        idle = session.prepare(REACH_QUERY)
+        assert idle.run(personId=42).row_set() == {(43,), (44,), (45,)}
+        maintains, resets = idle.engine.maintain_count, idle.engine.reset_count
+        previous = 45
+        for person in range(100, 100 + 5 * bound):  # 10 x bound mutations
+            person_row = (person, f"P{person}", "10.0.0.9")
+            edge = (previous, person, person)
+            session.insert("Person", [person_row])
+            session.insert("Person_KNOWS_Person", [edge])
+            facts["Person"].append(person_row)
+            facts["Person_KNOWS_Person"].append(edge)
+            previous = person
+            assert len(session._log) <= bound
+        oracle = raqlet.run_on_datalog_engine(
+            raqlet.compile_cypher(REACH_QUERY), facts, parameters={"personId": 42}
+        )
+        assert idle.run(personId=42).row_set() == oracle.row_set()
+        assert len(oracle.row_set()) == 3 + 5 * bound
+        assert idle.engine.reset_count == resets + 1
+        assert idle.engine.maintain_count == maintains
+
+
 def test_mutating_a_derived_relation_is_rejected(raqlet):
     with raqlet.session(FACTS) as session:
         prepared = session.prepare(CITY_QUERY)

@@ -1,11 +1,12 @@
 """Tests for the epoch-versioned shared EDB (:mod:`storage_shared`).
 
 Three layers: direct :class:`SharedEDB` semantics (effective deltas, epoch
-pinning, folding and retention), the :class:`SnapshotView` adapter's patch
-semantics, and a hypothesis property drive proving snapshot isolation — a
-reader pinned at epoch ``E`` sees exactly the oracle state as of ``E`` no
-matter what later writes, folds, or other pins do — on both the in-memory
-and SQLite base backends.
+pinning, base folding, and log retention bounded by the consumers and the
+retention bound of its :class:`~repro.engines.datalog.delta_log.DeltaLog`),
+the :class:`SnapshotView` adapter's patch semantics, and a hypothesis
+property drive proving snapshot isolation — a reader pinned at epoch ``E``
+sees exactly the oracle state as of ``E`` no matter what later writes,
+folds, or other pins do — on both the in-memory and SQLite base backends.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ExecutionError
+from repro.engines.datalog import delta_log
 from repro.engines.datalog.storage import FactStore
 from repro.engines.datalog.storage_shared import SharedEDB, SnapshotView
 from repro.engines.datalog.storage_sqlite import SQLiteFactStore
@@ -100,7 +102,7 @@ def test_fold_blocked_by_pins_and_resumes_after_release():
     assert shared.compact() is False  # pinned reader blocks folding
     stats = shared.stats()
     assert stats["floor"] == 1 and stats["chain_entries"] == 1
-    snap.release()  # releasing the last pin folds the chain immediately
+    snap.release()  # releasing the last pin folds immediately
     stats = shared.stats()
     assert stats["floor"] == stats["epoch"] == 2
     assert stats["chain_entries"] == 0
@@ -114,45 +116,50 @@ def test_fold_blocked_by_pins_and_resumes_after_release():
 
 def test_consumer_positions_bound_folding():
     shared = SharedEDB()
-    token = shared.register_consumer()  # at epoch 0
+    log = shared.log
+    log.consume("query", 0)
     shared.insert("r", [(1,)])
     shared.insert("r", [(2,)])
-    # the laggard consumer still needs epochs 1..2: nothing may fold
+    # the laggard consumer still needs epochs 1..2: the log keeps them, but
+    # the base folds anyway, so readers stay on the clean fast path
     assert shared.compact() is False
-    assert shared.delta_entries(0) == [("r", (1,), 1), ("r", (2,), 1)]
-    shared.set_consumed(token, 1)
+    assert log.net(0) == ({"r": {(1,), (2,)}}, {})
+    snap = shared.pin()
+    assert not snap.dirty("r") and snap.count("r") == 2
+    snap.release()
+    log.consume("query", 1)
     assert shared.compact() is True
     assert shared.stats()["floor"] == 1
     # entries above the floor survive; entries below it are gone
-    assert shared.delta_entries(1) == [("r", (2,), 1)]
-    assert shared.delta_entries(0) is None
-    shared.drop_consumer(token)
+    assert log.net(1) == ({"r": {(2,)}}, {})
+    assert log.net(0) is None
+    log.release("query")
     assert shared.compact() is True
     assert shared.stats()["floor"] == 2
     shared.close()
 
 
-def test_chain_overflow_drops_laggard_retention():
-    shared = SharedEDB(max_log_entries=4)
-    token = shared.register_consumer()
+def test_chain_overflow_drops_laggard_retention(monkeypatch):
+    monkeypatch.setattr(delta_log, "RETENTION", 4)
+    shared = SharedEDB()
+    shared.log.consume("laggard", 0)
     for value in range(8):
         shared.insert("r", [(value,)])
-    # the chain blew past max_log_entries with no pins: folded past the
+    # the log blew past its retention with no pins: folded past the
     # laggard consumer (the floor advanced despite its position at 0)
     stats = shared.stats()
     assert stats["floor"] > 0
-    assert stats["chain_entries"] <= shared.max_log_entries
-    assert shared.delta_entries(0) is None  # laggard must fully re-derive
+    assert stats["chain_entries"] <= delta_log.RETENTION
+    assert shared.log.net(0) is None  # laggard must fully re-derive
     snap = shared.pin()
     assert snap.count("r") == 8
     snap.release()
-    shared.drop_consumer(token)
     shared.close()
 
 
 def test_version_at_is_monotone_and_fold_invariant():
     shared = SharedEDB()
-    token = shared.register_consumer()  # parks the floor at epoch 0
+    snap = shared.pin()                 # a reader at epoch 0 blocks folding
     shared.insert("a", [(1,)])          # epoch 1 touches a
     shared.insert("b", [(1,)])          # epoch 2 touches b
     shared.insert("a", [(2,)])          # epoch 3 touches a
@@ -162,8 +169,8 @@ def test_version_at_is_monotone_and_fold_invariant():
     assert shared.version_at("a", 3) == 2
     assert shared.version_at("b", 3) == 1
     before = shared.version_at("a", 3)
-    shared.drop_consumer(token)
-    assert shared.compact()
+    snap.release()  # the last pin gone, the base folds to epoch 3
+    assert shared.stats()["fold_count"] == 1
     # folding preserves the count at epochs >= the new floor
     assert shared.version_at("a", 3) == before
     shared.close()
@@ -285,13 +292,13 @@ def test_view_rejects_replace_and_clear_of_shared_relations():
 def test_view_repin_advances_to_latest_epoch():
     shared, view = _make_view()
     first = view.pinned_epoch
+    view.log.consume("query", first)  # a worker query current at `first`
     shared.insert("shared_rel", [(3,)])
     assert view.count("shared_rel") == 2  # still pinned at the old epoch
     second = view.begin_read()
     assert second == first + 1
     assert view.count("shared_rel") == 3
-    assert view.delta_since(first) == [("shared_rel", (3,), 1)]
-    view.mark_consumed(second)
+    assert view.log.net(first, second) == ({"shared_rel": {(3,)}}, {})
     view.close()
     shared.close()
 

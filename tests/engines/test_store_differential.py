@@ -396,7 +396,7 @@ VECTORISED_SEEDS = tuple(range(10))
 def test_columnar_corpus_coverage(seed):
     """The designated seeds must exercise the vectorised kernels end to end:
     correct results with zero fallbacks of either tier, on both stores."""
-    from repro.engines.datalog import ColumnarExecutor
+    from repro.engines.datalog.executor_columnar import ColumnarExecutor
 
     program, facts, idbs = _random_case(seed)
     oracle = naive_evaluate(program, facts)

@@ -13,7 +13,7 @@ The key invariants checked on randomly generated graphs:
 
 from typing import List, Tuple
 
-import networkx as nx
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +26,13 @@ from repro.optimize import optimize_program
 from repro.optimize.linearize import LinearizeRecursion
 from repro.optimize.magic_sets import MagicSets
 from repro.sqir import translate_dlir_to_sqir
+
+try:  # networkx is a test-only oracle; the core never imports it
+    import networkx as nx
+except ImportError:  # pragma: no cover - exercised only without networkx
+    nx = None
+
+needs_networkx = pytest.mark.skipif(nx is None, reason="networkx oracle not installed")
 
 _SETTINGS = settings(
     max_examples=25,
@@ -76,6 +83,7 @@ def _expected_tc(edges):
     return closure
 
 
+@needs_networkx
 @given(edge_lists())
 @_SETTINGS
 def test_datalog_tc_matches_networkx(edges):
@@ -151,6 +159,7 @@ def test_default_pipeline_preserves_tc(edges):
     assert original.same_rows(rewritten)
 
 
+@needs_networkx
 @given(edge_lists())
 @_SETTINGS
 def test_min_subsumption_matches_bfs_shortest_paths(edges):

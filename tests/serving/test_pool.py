@@ -227,7 +227,7 @@ def test_saturated_pool_rejects_new_requests(raqlet):
 
 
 def test_workers_share_one_closure_cache(raqlet):
-    with ServingPool(raqlet, FACTS, workers=3) as pool:
+    with ServingPool(raqlet, FACTS, workers=3, executor="compiled") as pool:
         pool.prepare("city", CITY_QUERY)
         for pid in (42, 43, 44):  # round-robins across all three workers
             pool.run("city", personId=pid)
