@@ -114,7 +114,7 @@ def test_adaptive_replanning_beats_frozen_plan():
     """Re-planning on cardinality drift is >=2x over the frozen plan, and
     the counters + final join orders prove the mechanism produced it."""
     frozen_seconds, frozen = _run(float("inf"))
-    adaptive_seconds, adaptive = _run(None)  # default 10x drift threshold
+    adaptive_seconds, adaptive = _run(10)  # the default 10x drift threshold
 
     # The workload is not degenerate, and planning strategy cannot change
     # results.

@@ -532,7 +532,7 @@ def rename_relations(
     and negated body atoms, outputs, inputs and inline fact keys.  Names
     absent from ``mapping`` are kept.  Used by the session layer to give
     each prepared query a private namespace for its generated IDB relations
-    (``Return`` → ``Return__q1``), so queries sharing one store can never
+    (``Return`` → ``Return__<crc>q1``), so queries sharing one store can never
     collide on generated names (or, worse, on their arities).
     """
     renamed = DLIRProgram(

@@ -144,7 +144,6 @@ class DatalogEngine:
         #: how many :meth:`maintain` calls fell back to full re-derivation
         self.full_rederive_count = 0
         self._idb_relations = set(program.idb_names())
-        self._store.mark_idb(self._idb_relations)
         # Constructor-supplied facts landing on *derived* relations (a
         # relation may have both rules and externally supplied seed rows)
         # are remembered: reset() clears the whole IDB and must restore
@@ -246,7 +245,8 @@ class DatalogEngine:
         path of a :class:`~repro.session.PreparedQuery`.
         """
         with self._store.batch():
-            self._store.clear_idb(self._idb_relations)
+            for relation in self._idb_relations:
+                self._store.clear_relation(relation)
             for relation, rows in self._program.facts.items():
                 # Ground facts attached to derived relations (a relation can
                 # have both fact clauses and rules) were cleared with the
@@ -568,7 +568,7 @@ class DatalogEngine:
         if self._replan_threshold == float("inf"):
             return {}
         self.stats_snapshot_count += 1
-        return self._store.stats_snapshot(relations)
+        return {name: self._store.relation_stats(name) for name in relations}
 
     def _collect_subsumption_specs(self) -> Dict[str, _SubsumptionSpec]:
         specs: Dict[str, _SubsumptionSpec] = {}

@@ -1279,9 +1279,6 @@ class ColumnarExecutor(RuleExecutor):
 
     _STORE_CACHE_LIMIT = 512
     _DELTA_MEMO_LIMIT = 1024
-    # Removal masking is O(rows × removed); past this many net removals a
-    # full re-encode is cheaper than the masking passes.
-    _INCREMENTAL_REMOVAL_LIMIT = 64
 
     def __init__(self) -> None:
         if np is None:
@@ -1305,9 +1302,8 @@ class ColumnarExecutor(RuleExecutor):
         #: :meth:`_relation_columns`) — what the cross-query encoding-reuse
         #: tests assert on
         self.store_encode_count = 0
-        #: stale cache entries advanced by folding the store's change log
-        #: into the cached columns instead of re-encoding the relation —
-        #: the streaming-mutation benchmarks assert this dominates
+        #: always 0: a stale cache entry is re-encoded from ``scan``; kept
+        #: because the benchmark's counter table still reads it
         self.columnar_incremental_encode_count = 0
         # One executor is shared by every worker of a serving pool: cache
         # *writes* (and the encode they guard) run under this lock with a
@@ -1345,75 +1341,12 @@ class ColumnarExecutor(RuleExecutor):
                 entry = self._store_cache.get(key)
                 if entry is not None and entry[0] is pin and entry[1] == version:
                     return entry[2], entry[3]
-                if entry is not None and entry[0] is pin:
-                    # Stale entry for the same live store: try to advance
-                    # the cached columns by the store's change log — the
-                    # streaming path where a relation grows by |Δ| rows per
-                    # mutation batch while the full relation stays large.
-                    advanced = self._advance_columns(store, relation, entry)
-                    if advanced is not None:
-                        cols, count = advanced
-                        self.columnar_incremental_encode_count += 1
-                        self._store_cache[key] = (pin, version, cols, count)
-                        return cols, count
             cols, count = self._vd.encode_rows(store.scan(relation))
             self.store_encode_count += 1
             if version is not None:
                 if len(self._store_cache) >= self._STORE_CACHE_LIMIT:
                     self._store_cache.clear()
                 self._store_cache[key] = (pin, version, cols, count)
-        return cols, count
-
-    def _advance_columns(self, store: StoreBackend, relation: str, entry):
-        """Fold the store delta since ``entry``'s version into its columns.
-
-        Returns the advanced ``(columns, count)`` or ``None`` when a full
-        re-encode is required (change log truncated/replaced, arity drift,
-        too many removals, or anything the fold cannot prove exact).
-        Codes are first-occurrence-order but order-independent as an
-        encoding, so appending freshly-encoded rows to cached columns *is*
-        a valid encoding of the grown relation; removals are located by a
-        per-column equality mask and must match exactly one row each.
-        """
-        _, cached_version, cols, count = entry
-        changes = store.changes_since(relation, cached_version)
-        if changes is None:
-            return None
-        added, removed = changes
-        if len(removed) > self._INCREMENTAL_REMOVAL_LIMIT:
-            return None
-        try:
-            if removed:
-                if not count:
-                    return None
-                keep = np.ones(count, dtype=bool)
-                for row in removed:
-                    if len(row) != len(cols):
-                        return None
-                    match = keep
-                    for column, value in zip(cols, row):
-                        match = match & (column == self._vd.encode_one(value))
-                    if int(np.count_nonzero(match)) != 1:
-                        return None
-                    keep &= ~match
-                cols = tuple(column[keep] for column in cols)
-                count -= len(removed)
-            if added:
-                new_cols, new_count = self._vd.encode_rows(added)
-                if count == 0:
-                    cols, count = new_cols, new_count
-                elif len(new_cols) != len(cols):
-                    return None
-                else:
-                    cols = tuple(
-                        np.concatenate((old, new))
-                        for old, new in zip(cols, new_cols)
-                    )
-                    count += new_count
-        except ColumnarFallback:
-            # Let the full-scan path decide whether the fallback is real
-            # (the offending value may only live in removed rows).
-            return None
         return cols, count
 
     def _delta_columns(self, view: DeltaView):

@@ -1,11 +1,16 @@
 """Fact storage for the Datalog engine.
 
-Storage is **pluggable**: the plan executor only ever touches a store through
-the narrow :class:`StoreBackend` protocol (insert / remove / scan / lookup /
-lookup_many / len plus batching, index-statistics and relation-statistics
-hooks — ``relation_stats`` feeds the planner's cost model), so compiled
-:class:`~repro.engines.datalog.planner.RulePlan`\\ s run unchanged on any
-backend.  Two backends ship with the repository:
+Storage is **pluggable**: the engine only ever touches a store through the
+:class:`StoreBackend` protocol, 18 methods each with a caller outside the
+stores — ``relation_names`` / ``count`` / ``contains``; ``add`` /
+``add_many`` / ``remove`` / ``clear_relation``; ``lookup`` / ``lookup_many``
+/ ``scan``; ``index_count`` and ``relation_stats`` (which feeds the
+planner's cost model); ``data_version`` and ``cache_identity`` (executor
+cache keys); ``begin_batch`` / ``end_batch`` / ``batch`` / ``close`` — so
+compiled :class:`~repro.engines.datalog.planner.RulePlan`\\ s run unchanged
+on any backend.  Stores keep no history of their own: the session's
+:class:`~repro.engines.datalog.delta_log.DeltaLog` is the one record of
+mutations.  Two backends ship with the repository:
 
 * :class:`FactStore` (this module) — the in-memory backend: relations are
   sets of tuples with incrementally maintained hash indexes;
@@ -44,7 +49,6 @@ from collections import defaultdict
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.engines.datalog.delta_log import net_entries
 from repro.engines.datalog.statistics import (
     RelationStats,
     StatsRegistry,
@@ -61,8 +65,9 @@ class StoreBackend(abc.ABC):
 
     The plan executor needs only :meth:`lookup` and :meth:`scan`; the engine
     additionally inserts (:meth:`add` / :meth:`add_many`), removes
-    (subsumption), and counts.  Everything else — how tuples are laid out,
-    where indexes live — is backend private.
+    (subsumption and incremental maintenance), clears the relations it
+    derives (:meth:`clear_relation`), and counts.  Everything else — how
+    tuples are laid out, where indexes live — is backend private.
 
     **Index statistics are part of the contract.**  Every backend must keep
     :attr:`index_build_count` (number of from-scratch index constructions)
@@ -121,8 +126,13 @@ class StoreBackend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def replace(self, name: str, rows: Iterable[Row]) -> None:
-        """Replace the whole relation with ``rows``."""
+    def clear_relation(self, name: str) -> None:
+        """Remove every tuple of ``name``, keeping its indexes *registered*.
+
+        Clearing must not force index rebuilds: an emptied index is still a
+        valid index over the emptied relation, so warm re-derivation after
+        a session reset pays zero ``index_build_count``.
+        """
 
     # -- indexed access ----------------------------------------------------
 
@@ -179,11 +189,6 @@ class StoreBackend(abc.ABC):
         """
         return compute_stats(self.scan(name))
 
-    def stats_snapshot(self, names: Iterable[str]) -> Dict[str, RelationStats]:
-        """Return :meth:`relation_stats` for each of ``names`` (the shape the
-        planner's cost model consumes)."""
-        return {name: self.relation_stats(name) for name in names}
-
     def data_version(self, name: str) -> Optional[int]:
         """Return a counter that changes whenever relation ``name`` changes.
 
@@ -193,23 +198,6 @@ class StoreBackend(abc.ABC):
         reuse across the fixpoint iterations that read a relation the rule
         never writes).  Backends that cannot track this cheaply return
         ``None``, which simply disables column caching for their relations.
-        """
-        return None
-
-    def changes_since(
-        self, name: str, version: int
-    ) -> Optional[Tuple[List[Row], List[Row]]]:
-        """Return the net ``(added, removed)`` rows of ``name`` since
-        ``version`` (a value previously returned by :meth:`data_version`).
-
-        Opposite changes of the same row cancel, so ``added`` rows are
-        present now and absent at ``version``, and ``removed`` rows the
-        reverse — exactly the delta a cache keyed on ``data_version`` must
-        apply to catch up.  Returns ``None`` when the span is unknown (the
-        backend keeps no log, the log was truncated past ``version``, or
-        the relation was wholesale-replaced in between); the caller must
-        then rebuild from :meth:`scan`.  Backends without a change log
-        simply inherit this ``None`` default.
         """
         return None
 
@@ -227,49 +215,6 @@ class StoreBackend(abc.ABC):
         comparable across every view that reports the same identity.
         """
         return (id(self), self)
-
-    # -- IDB/EDB partition --------------------------------------------------
-
-    def mark_idb(self, names: Iterable[str]) -> None:
-        """Record ``names`` as derived (IDB) relations of this store.
-
-        The partition is additive — a store shared by several prepared
-        queries accumulates every query's derived relations — and purely
-        advisory bookkeeping: it lets sessions distinguish the ingested EDB
-        (kept hot across runs) from derived results (cleared and lazily
-        re-derived after parameter re-binding or mutation).
-        """
-        marks = getattr(self, "_idb_marks", None)
-        if marks is None:
-            marks = set()
-            self._idb_marks = marks
-        marks.update(names)
-
-    def idb_marks(self) -> Set[str]:
-        """Return the relations marked as IDB (derived) on this store."""
-        return set(getattr(self, "_idb_marks", ()) or ())
-
-    def clear_relation(self, name: str) -> None:
-        """Remove every tuple of ``name``, keeping its indexes *registered*.
-
-        Unlike :meth:`replace` with no rows, clearing must not force index
-        rebuilds: an emptied index is still a valid index over the emptied
-        relation, so warm re-derivation after a session reset pays zero
-        ``index_build_count``.  This generic implementation falls back to
-        :meth:`replace`; both shipped backends override it.
-        """
-        self.replace(name, [])
-
-    def clear_idb(self, names: Optional[Iterable[str]] = None) -> None:
-        """Clear the relations in ``names`` (default: every marked IDB).
-
-        The engine's :meth:`~repro.engines.datalog.engine.DatalogEngine.reset`
-        passes its own program's IDB names so that several prepared queries
-        sharing one store never wipe each other's extensional data.
-        """
-        targets = self.idb_marks() if names is None else names
-        for name in targets:
-            self.clear_relation(name)
 
     # -- hooks (default no-ops) --------------------------------------------
 
@@ -290,17 +235,6 @@ class StoreBackend(abc.ABC):
 
     def close(self) -> None:
         """Release backend resources (files, connections)."""
-
-    # -- conveniences ------------------------------------------------------
-
-    def __len__(self) -> int:
-        """Return the total number of stored facts across all relations."""
-        return sum(self.count(name) for name in self.relation_names())
-
-    def snapshot(self) -> Dict[str, Set[Row]]:
-        """Return a copy of all relations as sets (for debugging/tests)."""
-        return {name: set(self.scan(name)) for name in self.relation_names()}
-
 
 #: What :func:`create_store` and the engine accept as a backend selection.
 StoreSpec = Union[str, StoreBackend, None]
@@ -374,81 +308,6 @@ class DeltaView:
         return index.get(tuple(key), ())
 
 
-class RelationChangeLog:
-    """A bounded per-relation log of effective row changes, versioned by the
-    store's ``data_version`` counter.
-
-    Backends append ``(version, row, ±1)`` entries on their write paths
-    (after bumping the version, so each entry carries the version it
-    produced) and answer :meth:`changes_since` by netting the suffix newer
-    than the requested version.  The log is a cache, not a ledger: it keeps
-    at most :attr:`LIMIT` entries per relation and records how far back it
-    is complete (``floor``), answering ``None`` beyond that — the columnar
-    executor then falls back to a full re-encode, so truncation can never
-    produce a wrong delta.  Batched writes share one version (the stores
-    bump once per effective batch), so trimming always drops whole version
-    groups: a retained version's delta is never half-reported.
-    """
-
-    LIMIT = 1024
-
-    def __init__(self) -> None:
-        # relation -> [(version, row, +1 | -1)], oldest first
-        self._entries: Dict[str, List[Tuple[int, Row, int]]] = defaultdict(list)
-        # relation -> oldest version changes_since() can still answer for
-        self._floor: Dict[str, int] = defaultdict(int)
-
-    def record(self, name: str, version: int, row: Row, sign: int) -> None:
-        """Append one effective change made at ``version``."""
-        log = self._entries[name]
-        log.append((version, row, sign))
-        if len(log) > self.LIMIT:
-            self._trim(name)
-
-    def record_many(
-        self, name: str, version: int, rows: Sequence[Row], sign: int
-    ) -> None:
-        """Append a batch of effective changes sharing one ``version``."""
-        if len(rows) > self.LIMIT:
-            # A batch too large to retain would be trimmed away immediately;
-            # skip the appends and invalidate the history in one step.
-            self.reset(name, version)
-            return
-        log = self._entries[name]
-        log.extend((version, row, sign) for row in rows)
-        if len(log) > self.LIMIT:
-            self._trim(name)
-
-    def reset(self, name: str, version: int) -> None:
-        """Forget the history of ``name`` (wholesale replace/clear)."""
-        self._entries[name] = []
-        self._floor[name] = version
-
-    def _trim(self, name: str) -> None:
-        log = self._entries[name]
-        drop = len(log) - self.LIMIT
-        cut_version = log[drop - 1][0]
-        # Drop whole version groups: every entry at the cut version goes
-        # too, so any version the log still answers for is fully covered.
-        while drop < len(log) and log[drop][0] == cut_version:
-            drop += 1
-        del log[:drop]
-        self._floor[name] = cut_version
-
-    def changes_since(
-        self, name: str, version: int
-    ) -> Optional[Tuple[List[Row], List[Row]]]:
-        """Net the entries newer than ``version``; ``None`` past the floor."""
-        if version < self._floor[name]:
-            return None
-        added, removed = net_entries(
-            (name, row, sign)
-            for entry_version, row, sign in self._entries[name]
-            if entry_version > version
-        )
-        return list(added.get(name, ())), list(removed.get(name, ()))
-
-
 class FactStore(StoreBackend):
     """The in-memory backend: tuple sets with incrementally maintained hash
     indexes."""
@@ -468,8 +327,6 @@ class FactStore(StoreBackend):
         self._stats = StatsRegistry()
         # per-relation monotone change counters (see data_version)
         self._versions: Dict[str, int] = defaultdict(int)
-        # bounded per-relation history backing changes_since()
-        self._changelog = RelationChangeLog()
         # serialises lazy index builds: two concurrent readers probing the
         # same un-indexed (relation, positions) must produce one index and
         # one ``index_build_count`` bump, not an interleaved half-built dict
@@ -503,7 +360,6 @@ class FactStore(StoreBackend):
             return False
         relation.add(row)
         self._versions[name] += 1
-        self._changelog.record(name, self._versions[name], row, 1)
         self._stats.record_add(name, row)
         indexes = self._indexes.get(name)
         if indexes:
@@ -525,7 +381,6 @@ class FactStore(StoreBackend):
                 fresh.append(row)
         if fresh:
             self._versions[name] += 1
-            self._changelog.record_many(name, self._versions[name], fresh, 1)
         if fresh and indexes:
             for positions, index in indexes.items():
                 for row in fresh:
@@ -539,7 +394,6 @@ class FactStore(StoreBackend):
             return False
         relation.discard(row)
         self._versions[name] += 1
-        self._changelog.record(name, self._versions[name], row, -1)
         self._stats.record_remove(name, row)
         indexes = self._indexes.get(name)
         if not indexes:
@@ -554,21 +408,6 @@ class FactStore(StoreBackend):
                 del index[key]
         return True
 
-    def replace(self, name: str, rows: Iterable[Row]) -> None:
-        """Replace the whole relation with ``rows``.
-
-        Wholesale replacement drops the relation's indexes; they are rebuilt
-        lazily on the next lookup.
-        """
-        replacement = set(tuple(row) for row in rows)
-        self._relations[name] = replacement
-        self._versions[name] += 1
-        self._changelog.reset(name, self._versions[name])
-        self._stats.record_clear(name)
-        for row in replacement:
-            self._stats.record_add(name, row)
-        self._indexes.pop(name, None)
-
     def clear_relation(self, name: str) -> None:
         """Remove every tuple of ``name``, emptying (not dropping) its indexes.
 
@@ -579,7 +418,6 @@ class FactStore(StoreBackend):
         """
         self._relations[name] = set()
         self._versions[name] += 1
-        self._changelog.reset(name, self._versions[name])
         self._stats.record_clear(name)
         indexes = self._indexes.get(name)
         if indexes:
@@ -589,12 +427,6 @@ class FactStore(StoreBackend):
     def data_version(self, name: str) -> Optional[int]:
         """Per-relation change counter, bumped only on effective mutations."""
         return self._versions[name]
-
-    def changes_since(
-        self, name: str, version: int
-    ) -> Optional[Tuple[List[Row], List[Row]]]:
-        """Net row delta of ``name`` since ``version`` (see the base class)."""
-        return self._changelog.changes_since(name, int(version))
 
     # -- indexed access ------------------------------------------------------
 
@@ -677,7 +509,3 @@ class FactStore(StoreBackend):
         that makes per-iteration snapshots in the fixpoint loop free.
         """
         return self._stats.stats(name)
-
-    def snapshot(self) -> Dict[str, Set[Row]]:
-        """Return a shallow copy of all relations (for debugging/tests)."""
-        return {name: set(rows) for name, rows in self._relations.items()}

@@ -536,13 +536,6 @@ class SnapshotView(StoreBackend):
             return True
         return False
 
-    def replace(self, name: str, rows: Iterable[Row]) -> None:
-        if self._is_shared(name):
-            raise ExecutionError(
-                f"cannot replace shared relation {name!r} through a snapshot view"
-            )
-        self._local.replace(name, rows)
-
     def clear_relation(self, name: str) -> None:
         if self._is_shared(name):
             raise ExecutionError(

@@ -38,13 +38,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import ExecutionError
 from repro.engines.datalog.statistics import EMPTY_STATS, RelationStats
-from repro.engines.datalog.storage import (
-    Key,
-    Positions,
-    RelationChangeLog,
-    Row,
-    StoreBackend,
-)
+from repro.engines.datalog.storage import Key, Positions, Row, StoreBackend
 
 _SUPPORTED_TYPES = (bool, int, float, str, bytes)
 
@@ -74,10 +68,8 @@ class SQLiteFactStore(StoreBackend):
         cursor.execute("PRAGMA synchronous=OFF")
         cursor.execute("PRAGMA temp_store=MEMORY")
         self.path = path
-        #: relation name -> (table name, arity)
+        #: relation name -> (table name, arity); tables are never dropped
         self._tables: Dict[str, Tuple[str, int]] = {}
-        #: monotone table-name counter (never reused, even after replace)
-        self._table_seq = 0
         #: relation name -> position sets with a materialised SQLite index
         self._indexed: Dict[str, Set[Positions]] = {}
         self.index_build_count = 0
@@ -95,8 +87,6 @@ class SQLiteFactStore(StoreBackend):
         self._stats_cache: Dict[str, RelationStats] = {}
         # per-relation monotone change counters (see data_version)
         self._versions: Dict[str, int] = defaultdict(int)
-        # bounded per-relation history backing changes_since()
-        self._changelog = RelationChangeLog()
         self.stats_query_count = 0
         self._batch_depth = 0
         self._closed = False
@@ -118,8 +108,7 @@ class SQLiteFactStore(StoreBackend):
             raise ExecutionError(
                 f"SQLite store cannot hold the zero-arity relation {name!r}"
             )
-        table = f"rel_{self._table_seq}"
-        self._table_seq += 1
+        table = f"rel_{len(self._tables)}"
         columns = ", ".join(f"c{i}" for i in range(arity))
         self._conn.execute(f"CREATE TABLE {table} ({columns})")
         self._conn.execute(
@@ -195,7 +184,6 @@ class SQLiteFactStore(StoreBackend):
         )
         if cursor.rowcount > 0:
             self._versions[name] += 1
-            self._changelog.record(name, self._versions[name], row, 1)
             return True
         return False
 
@@ -220,29 +208,18 @@ class SQLiteFactStore(StoreBackend):
             self.begin_batch()
         try:
             added = 0
-            added_plain = 0
             if plain:
                 placeholders = ", ".join("?" for _ in range(len(plain[0])))
                 before = self._conn.total_changes
                 self._conn.executemany(
                     f"INSERT OR IGNORE INTO {table} VALUES ({placeholders})", plain
                 )
-                added_plain = self._conn.total_changes - before
-                added += added_plain
+                added += self._conn.total_changes - before
             for row in with_null:
                 if self.add(name, row):
                     added += 1
             if added:
                 self._versions[name] += 1
-                if added_plain:
-                    # INSERT OR IGNORE does not say which rows were fresh;
-                    # the batch is attributable only when every row was.
-                    if added_plain == len(plain) == len(set(plain)):
-                        self._changelog.record_many(
-                            name, self._versions[name], plain, 1
-                        )
-                    else:
-                        self._changelog.reset(name, self._versions[name])
             return added
         finally:
             if own_batch:
@@ -262,32 +239,8 @@ class SQLiteFactStore(StoreBackend):
         cursor = self._conn.execute(f"DELETE FROM {table} WHERE {where}", row)
         if cursor.rowcount > 0:
             self._versions[name] += 1
-            self._changelog.record(name, self._versions[name], row, -1)
             return True
         return False
-
-    def replace(self, name: str, rows: Iterable[Row]) -> None:
-        """Replace the whole relation with ``rows``.
-
-        Mirrors the in-memory store: wholesale replacement drops the
-        relation's position indexes; they are rebuilt lazily, so
-        ``index_build_count`` rises again on the next lookup.  An existing
-        relation replaced with no rows stays visible (empty), like the
-        in-memory store; replacing a relation that never existed with no
-        rows is a no-op (the row arity is unknown, so no table can exist).
-        """
-        entry = self._tables.pop(name, None)
-        self._stats_cache.pop(name, None)
-        self._versions[name] += 1
-        self._changelog.reset(name, self._versions[name])
-        if entry is not None:
-            self._conn.execute(f"DROP TABLE {entry[0]}")
-            self._indexed.pop(name, None)
-        materialised = [tuple(row) for row in rows]
-        if materialised:
-            self.add_many(name, materialised)
-        elif entry is not None:
-            self._table(name, entry[1])  # recreate the (empty) relation
 
     def clear_relation(self, name: str) -> None:
         """Remove every row of ``name``, keeping its table and indexes.
@@ -302,7 +255,6 @@ class SQLiteFactStore(StoreBackend):
             return
         self._stats_cache.pop(name, None)
         self._versions[name] += 1
-        self._changelog.reset(name, self._versions[name])
         self._conn.execute(f"DELETE FROM {entry[0]}")
 
     # -- indexed access ----------------------------------------------------
@@ -491,18 +443,6 @@ class SQLiteFactStore(StoreBackend):
     def data_version(self, name: str) -> Optional[int]:
         """Per-relation change counter, bumped only on effective mutations."""
         return self._versions[name]
-
-    def changes_since(
-        self, name: str, version: int
-    ) -> Optional[Tuple[List[Row], List[Row]]]:
-        """Net row delta of ``name`` since ``version`` (see the base class).
-
-        Replays through the shared :class:`RelationChangeLog`; bulk
-        ``add_many`` batches whose fresh subset SQLite cannot attribute
-        invalidate the history instead of guessing, so an answer is always
-        exact.
-        """
-        return self._changelog.changes_since(name, int(version))
 
     # -- hooks -------------------------------------------------------------
 

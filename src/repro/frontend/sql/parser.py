@@ -14,7 +14,8 @@ Grammar (keywords case-insensitive)::
     table_ref  := name [AS] [alias]
     condition  := expr cmp expr | NOT EXISTS '(' select_stmt ')'
     expr       := additive with '.'-qualified column refs, literals,
-                  COUNT/SUM/MIN/MAX/AVG(...) aggregates and arithmetic
+                  ':name' parameters, COUNT/SUM/MIN/MAX/AVG(...) aggregates
+                  and arithmetic
 
 The parser produces a :class:`~repro.sqir.nodes.SQIRQuery`; recursive CTEs are
 recognised by self-reference (a member selecting from the CTE being defined)
@@ -40,6 +41,7 @@ from repro.sqir.nodes import (
     SQLExpr,
     SQLFunction,
     SQLLiteral,
+    SQLParam,
     SQIRQuery,
     TableRef,
 )
@@ -59,6 +61,7 @@ _TOKEN_RE = re.compile(
   | (?P<integer>\d+)
   | (?P<string>'(?:[^']|'')*')
   | (?P<identifier>"[^"]+"|[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<param>:[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op><=|>=|<>|!=|=|<|>)
   | (?P<punct>[(),.;*+\-/%])
     """,
@@ -310,6 +313,9 @@ class SQLParser:
         if token.kind == "string":
             self._advance()
             return SQLLiteral(token.text[1:-1].replace("''", "'"))
+        if token.kind == "param":
+            self._advance()
+            return SQLParam(token.text[1:])
         if token.is_keyword("NULL"):
             self._advance()
             return SQLLiteral(None)

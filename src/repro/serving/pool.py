@@ -6,9 +6,11 @@ The pool owns N worker threads.  Each worker wraps one
 :class:`~repro.engines.datalog.storage_shared.SharedEDB`; all workers share
 one rule executor, so compiled closures, columnar lowerings and the value
 dictionary are built once pool-wide (their caches are lock-guarded for
-exactly this).  Derived relations live in per-worker IDB namespaces
-(``Return__w3q1`` — the session namespace machinery with a worker label), so
-workers never fight over derived state.
+exactly this).  Derived relations live in each worker view's private local
+store, so workers never fight over derived state; their names come from the
+statement alone (``Return__<program CRC>q1``, see
+:meth:`~repro.session.Session._namespace_suffix`), so every worker plans the
+same relation names and reuses the closures another worker compiled.
 
 **Binding-affinity routing.**  Requests are routed by ``(statement,
 binding)``: the first request for a binding picks a worker round-robin, and
@@ -82,7 +84,7 @@ class _Statement:
     compiled: object  # repro.pipeline.CompiledQuery
     version: int
     param_names: Tuple[str, ...]
-    derived: frozenset  # pre-namespace IDB names — mutation guard
+    derived: frozenset  # original IDB names — mutation guard
 
 
 @dataclass
@@ -114,7 +116,6 @@ class _Worker:
             pool._raqlet,
             store=self.view,
             executor=pool._executor,
-            namespace=f"w{index}",
             **pool._engine_options,
         )
         #: statement name -> (statement version, PreparedQuery)
@@ -223,7 +224,7 @@ class ServingPool:
 
         ``query`` is Cypher text, Datalog text, or an existing
         :class:`~repro.pipeline.CompiledQuery`.  Compilation happens once,
-        here; each worker instantiates its own namespaced
+        here; each worker instantiates its own
         :class:`~repro.session.PreparedQuery` from the shared compiled form
         on first use.  Returns the statement's late-bound parameter names.
         """

@@ -42,10 +42,16 @@ from __future__ import annotations
 
 import re
 import time
+import zlib
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.common.errors import RaqletError
-from repro.dlir import DLIRProgram, program_param_names, rename_relations
+from repro.dlir import (
+    DLIRProgram,
+    program_param_names,
+    program_to_text,
+    rename_relations,
+)
 from repro.engines.datalog.delta_log import DeltaLog
 from repro.engines.datalog.engine import DatalogEngine
 from repro.engines.datalog.executor_compiled import (
@@ -125,13 +131,15 @@ class PreparedQuery:
         # arities, which a table-per-relation backend cannot absorb.  Each
         # prepared query therefore derives into a private namespace on the
         # shared store; the EDB names are untouched.
-        suffix = session._next_namespace()
+        suffix = session._namespace_suffix(program)
         self.namespace: Dict[str, str] = {
             name: f"{name}{suffix}" for name in program.idb_names()
         }
-        # The *original* names are recorded too, so mutation guards can
-        # reject inserts that would silently miss the renamed relation.
-        session._derived_originals.update(self.namespace)
+        # Both the renamed and the *original* names are recorded, so the
+        # mutation guard also rejects inserts that would silently miss the
+        # renamed relation.
+        session._derived_names.update(self.namespace)
+        session._derived_names.update(self.namespace.values())
         self._program = rename_relations(program, self.namespace)
         #: parameter names the program leaves late-bound
         self.param_names: Tuple[str, ...] = tuple(
@@ -385,16 +393,10 @@ class Session:
         *,
         store: StoreSpec = None,
         executor: ExecutorSpec = None,
-        namespace: Optional[str] = None,
         replan_threshold: Optional[float] = None,
         ivm: bool = True,
     ) -> None:
         self._raqlet = raqlet
-        #: optional label mixed into every prepared query's IDB-namespace
-        #: suffix, so several sessions sharing one store (the serving
-        #: pool's workers over a shared EDB) can never collide on derived
-        #: relation names
-        self._namespace_label = namespace
         # A caller-supplied StoreBackend instance stays under the caller's
         # ownership; stores the session creates are closed by close().
         self._owns_store = not isinstance(store, StoreBackend)
@@ -413,9 +415,11 @@ class Session:
         #: how many times the session ingested an EDB fact batch (the warm
         #: path asserts this stays at 1)
         self.ingest_count = 0
-        self._namespace_serial = 0
-        #: pre-namespace names of relations derived by prepared queries
-        self._derived_originals: set = set()
+        #: program-text CRC -> prepared instances with it (namespace suffixes)
+        self._namespace_instances: Dict[int, int] = {}
+        #: relations derived by prepared queries, under both their original
+        #: and their namespaced names (the mutation guard)
+        self._derived_names: set = set()
         self._prepared: Dict[Tuple[str, str, bool, bool], PreparedQuery] = {}
         # EDB copies for the secondary engines, built on first use and
         # dropped once the epoch moves past ``_secondary_epoch``.
@@ -455,12 +459,21 @@ class Session:
             return self._view.pinned_epoch
         return self._log.epoch
 
-    def _next_namespace(self) -> str:
-        """Return a fresh IDB-namespace suffix for one prepared query."""
-        self._namespace_serial += 1
-        if self._namespace_label:
-            return f"__{self._namespace_label}q{self._namespace_serial}"
-        return f"__q{self._namespace_serial}"
+    def _namespace_suffix(self, program: DLIRProgram) -> str:
+        """Return the IDB-namespace suffix for one prepared query.
+
+        The suffix names the statement, not the session: a CRC of the
+        program text plus the instance's index among this session's
+        instances with that CRC.  Sessions that prepare the same statements
+        (the serving pool's workers) therefore plan identical relation
+        names and share one set of compiled closures.  Within a session
+        every instance gets its own index, so two programs whose CRCs
+        collide still derive into disjoint relations.
+        """
+        digest = zlib.crc32(program_to_text(program).encode())
+        index = self._namespace_instances.get(digest, 0) + 1
+        self._namespace_instances[digest] = index
+        return f"__{digest:08x}q{index}"
 
     def ingest(self, facts: FactsInput) -> None:
         """Bulk-load extensional facts into the shared store (one batch).
@@ -658,11 +671,11 @@ class Session:
             raise RaqletError(
                 "this session reads a shared EDB; mutate it through its writer"
             )
-        # Both name spaces are rejected: the renamed derived relations (the
-        # store's IDB marks) and their original names — an insert under an
-        # original name would land in the shared store but never reach the
-        # renamed relation the query actually derives into.
-        if relation in self._store.idb_marks() or relation in self._derived_originals:
+        # Both name spaces are rejected: the renamed derived relations and
+        # their original names — an insert under an original name would
+        # land in the shared store but never reach the renamed relation the
+        # query actually derives into.
+        if relation in self._derived_names:
             raise RaqletError(
                 f"relation {relation!r} is derived by a query; "
                 "only extensional (EDB) relations can be mutated"

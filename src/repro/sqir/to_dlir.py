@@ -31,6 +31,7 @@ from repro.dlir.core import (
     DLIRProgram,
     Literal,
     NegatedAtom,
+    Param,
     Rule,
     Term,
     Var,
@@ -47,6 +48,7 @@ from repro.sqir.nodes import (
     SQLExpr,
     SQLFunction,
     SQLLiteral,
+    SQLParam,
     SQIRQuery,
 )
 
@@ -119,6 +121,8 @@ class _MemberTranslator:
             if expression.value is None:
                 raise UnsupportedFeatureError("NULL literals", backend="DLIR")
             return Const(expression.value)
+        if isinstance(expression, SQLParam):
+            return Param(expression.name)
         if isinstance(expression, ColumnRef):
             return self._resolve_column(expression)
         if isinstance(expression, SQLBinary) and expression.op in ("+", "-", "*", "/", "%"):
@@ -174,6 +178,8 @@ class _MemberTranslator:
             index = columns.index(condition.left.column)
             if isinstance(condition.right, SQLLiteral):
                 terms[index] = Const(condition.right.value)  # type: ignore[arg-type]
+            elif isinstance(condition.right, SQLParam):
+                terms[index] = Param(condition.right.name)
             elif isinstance(condition.right, ColumnRef):
                 terms[index] = self._resolve_column(condition.right)
             else:

@@ -1,16 +1,11 @@
-"""Incremental column maintenance in the columnar executor.
+"""The columnar executor's relation-column cache under streaming mutation.
 
-When a cached relation encoding goes stale, :meth:`_relation_columns`
-tries to *advance* the cached code columns by the store's change log
-(append freshly-encoded rows, mask out removed ones) instead of
-re-encoding the whole relation — counted in
-``columnar_incremental_encode_count`` vs ``store_encode_count``.
-
-The contract is one-sided soundness with full accounting: every advance
-must decode to exactly ``store.scan()``, and every case the fold cannot
-prove exact (truncated/reset change log, oversized removal batch,
-wholesale replace) must fall back to a counted full encode — never a
-wrong column.
+A cached encoding is keyed on the store's ``cache_identity`` and valid for
+one ``data_version``.  Once a relation changes, the stale entry is
+re-encoded from ``store.scan()`` (counted in ``store_encode_count``), while
+relations that did not change keep their encoding.  Every column the cache
+hands out must decode to exactly ``store.scan()``;
+``columnar_incremental_encode_count`` stays 0.
 """
 
 from __future__ import annotations
@@ -20,7 +15,7 @@ import pytest
 np = pytest.importorskip("numpy", reason="columnar executor requires NumPy")
 
 from repro.engines.datalog.executor_columnar import ColumnarExecutor
-from repro.engines.datalog.storage import FactStore, RelationChangeLog
+from repro.engines.datalog.storage import FactStore
 from repro.engines.datalog.storage_sqlite import SQLiteFactStore
 from repro.pipeline import Raqlet
 
@@ -47,42 +42,9 @@ def columns_for(executor, store, name="r"):
 
 
 @pytest.mark.parametrize("make_store", BACKENDS)
-def test_inserts_advance_cached_columns(make_store):
-    store = make_store()
-    try:
-        executor = ColumnarExecutor()
-        store.add_many("r", [(i, i * 2) for i in range(50)])
-        columns_for(executor, store)
-        assert executor.store_encode_count == 1
-        store.add("r", (100, 200))
-        store.add("r", (101, 202))
-        columns_for(executor, store)
-        assert executor.columnar_incremental_encode_count == 1
-        assert executor.store_encode_count == 1  # no re-encode
-    finally:
-        store.close()
-
-
-@pytest.mark.parametrize("make_store", BACKENDS)
-def test_removals_advance_cached_columns(make_store):
-    store = make_store()
-    try:
-        executor = ColumnarExecutor()
-        store.add_many("r", [(i, i * 2) for i in range(50)])
-        columns_for(executor, store)
-        store.remove("r", (7, 14))
-        store.remove("r", (31, 62))
-        columns_for(executor, store)
-        assert executor.columnar_incremental_encode_count == 1
-        assert executor.store_encode_count == 1
-    finally:
-        store.close()
-
-
-@pytest.mark.parametrize("make_store", BACKENDS)
 def test_streaming_mutation_mix_stays_exact(make_store):
-    """A long alternating insert/retract stream advances the same cache
-    entry every step; each advance folds only that step's delta."""
+    """A long alternating insert/retract stream re-encodes the relation
+    once per step and never hands out a stale column."""
     store = make_store()
     try:
         executor = ColumnarExecutor()
@@ -94,37 +56,21 @@ def test_streaming_mutation_mix_stays_exact(make_store):
             else:
                 store.add("r", (1000 + step, step))
             columns_for(executor, store)
-        assert executor.columnar_incremental_encode_count == 20
-        assert executor.store_encode_count == 1
+            columns_for(executor, store)  # unchanged: a cache hit
+        assert executor.store_encode_count == 21
+        assert executor.columnar_incremental_encode_count == 0
     finally:
         store.close()
 
 
 def test_oversized_removal_batch_falls_back_to_full_encode():
-    """Removal masking is O(rows × removed); past the limit a re-encode is
-    cheaper and the executor must take it (counted, still exact)."""
     store = FactStore()
     executor = ColumnarExecutor()
-    limit = ColumnarExecutor._INCREMENTAL_REMOVAL_LIMIT
-    store.add_many("r", [(i, i) for i in range(limit * 3)])
+    store.add_many("r", [(i, i) for i in range(200)])
     columns_for(executor, store)
-    for i in range(limit + 1):
+    for i in range(100):
         store.remove("r", (i, i))
     columns_for(executor, store)
-    assert executor.columnar_incremental_encode_count == 0
-    assert executor.store_encode_count == 2
-
-
-def test_truncated_changelog_falls_back_to_full_encode():
-    """A batch larger than the change log retains resets the history;
-    ``changes_since`` declines and the executor re-encodes."""
-    store = FactStore()
-    executor = ColumnarExecutor()
-    store.add("r", (-1, -1))
-    columns_for(executor, store)
-    store.add_many("r", [(i, 1) for i in range(RelationChangeLog.LIMIT + 2)])
-    columns_for(executor, store)
-    assert executor.columnar_incremental_encode_count == 0
     assert executor.store_encode_count == 2
 
 
@@ -135,16 +81,16 @@ def test_replace_falls_back_to_full_encode(make_store):
         executor = ColumnarExecutor()
         store.add_many("r", [(i, i) for i in range(10)])
         columns_for(executor, store)
-        store.replace("r", [(5, 5), (99, 99)])
+        store.clear_relation("r")
+        store.add_many("r", [(5, 5), (99, 99)])
         columns_for(executor, store)
-        assert executor.columnar_incremental_encode_count == 0
         assert executor.store_encode_count == 2
     finally:
         store.close()
 
 
 def test_drain_to_empty_and_regrow():
-    """Advancing through empty keeps the entry alive and exact."""
+    """Draining a relation to empty and regrowing it stays exact."""
     store = FactStore()
     executor = ColumnarExecutor()
     store.add("r", (1, 2))
@@ -154,8 +100,7 @@ def test_drain_to_empty_and_regrow():
     assert count == 0
     store.add("r", (3, 4))
     columns_for(executor, store)
-    assert executor.columnar_incremental_encode_count == 2
-    assert executor.store_encode_count == 1
+    assert executor.store_encode_count == 3
 
 
 SCHEMA = """
@@ -166,39 +111,38 @@ CREATE GRAPH {
 
 HOT = """
 .decl reading(s:number, v:number)
+.decl sensor(s:number)
 .decl hot(s:number, v:number)
-hot(s, v) :- reading(s, v), v >= $threshold.
+hot(s, v) :- sensor(s), reading(s, v), v >= $threshold.
 .output hot
 """
 
 
 def test_cold_runs_over_mutated_store_reuse_columns_end_to_end():
     """The integration path: a prepared query re-run with *changing*
-    bindings cannot use IVM (cold path each time) but the columnar
-    executor still advances the cached ``reading`` encoding by |Δ|
-    instead of re-encoding the whole relation every run."""
+    bindings cannot use IVM (cold path each time).  Each run re-encodes
+    the mutated ``reading`` relation once and reuses the cached encoding
+    of the untouched ``sensor`` relation."""
     raqlet = Raqlet(SCHEMA)
     with raqlet.session(executor="columnar") as session:
+        session.insert("sensor", [(i,) for i in range(0, 2000, 2)])
         session.insert("reading", [(i, i % 100) for i in range(300)])
         prepared = session.prepare(HOT)
         executor = prepared.engine.executor
-        baseline = {
-            (s, v) for s, v in session.store.scan("reading") if v >= 90
-        }
-        assert set(prepared.run(threshold=90).rows) == baseline
-        encodes = executor.store_encode_count
-        advances = executor.columnar_incremental_encode_count
-        expected = set(baseline)
-        for step in range(1, 11):
-            row = (1000 + step, 90 + step % 10)
-            session.insert("reading", [row])
-            expected.add(row)
-            got = set(prepared.run(threshold=90 + (step % 3)).rows)
-            want = {
+
+        def want(threshold):
+            sensors = set(session.store.scan("sensor"))
+            return {
                 (s, v)
                 for s, v in session.store.scan("reading")
-                if v >= 90 + (step % 3)
+                if (s,) in sensors and v >= threshold
             }
-            assert got == want
-        assert executor.store_encode_count == encodes  # zero re-encodes
-        assert executor.columnar_incremental_encode_count - advances >= 10
+
+        assert set(prepared.run(threshold=90).rows) == want(90)
+        encodes = executor.store_encode_count
+        for step in range(1, 11):
+            session.insert("reading", [(1000 + step, 90 + step % 10)])
+            threshold = 90 + (step % 3)
+            assert set(prepared.run(threshold=threshold).rows) == want(threshold)
+        assert executor.store_encode_count == encodes + 10  # `reading` only
+        assert executor.columnar_incremental_encode_count == 0

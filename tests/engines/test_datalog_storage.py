@@ -88,16 +88,6 @@ def test_remove_updates_existing_indexes_in_place():
     assert store.index_build_count == builds
 
 
-def test_replace_drops_indexes_for_rebuild():
-    store = FactStore()
-    store.add_many("r", [(1,), (2,)])
-    assert store.lookup("r", [0], (1,)) == [(1,)]
-    store.replace("r", [(9,)])
-    assert store.lookup("r", [0], (1,)) == []
-    assert store.lookup("r", [0], (9,)) == [(9,)]
-    assert store.index_build_count == 2  # one initial build, one after replace
-
-
 def test_delta_view_scan_and_lookup():
     view = DeltaView([(1, 2), (1, 3), (2, 3)])
     assert len(view) == 3
@@ -165,13 +155,7 @@ def test_remove_and_replace():
     store.add_many("r", [(1,), (2,)])
     store.remove("r", (1,))
     assert not store.contains("r", (1,))
-    store.replace("r", [(9,)])
+    store.clear_relation("r")
+    assert store.scan("r") == []
+    store.add("r", (9,))
     assert store.scan("r") == [(9,)]
-
-
-def test_snapshot_is_a_copy():
-    store = FactStore()
-    store.add("r", (1,))
-    snapshot = store.snapshot()
-    snapshot["r"].add((2,))
-    assert store.count("r") == 1

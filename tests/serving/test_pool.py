@@ -226,16 +226,31 @@ def test_saturated_pool_rejects_new_requests(raqlet):
 # -- shared caches across workers ---------------------------------------------
 
 
+FOF_QUERY = """
+MATCH (a:Person {id: $personId})-[:KNOWS*2..2]-(b:Person)
+RETURN DISTINCT b.id AS friendOfFriend
+"""
+
+
+def _closures_compiled(raqlet, workers):
+    with ServingPool(raqlet, FACTS, workers=workers, executor="compiled") as pool:
+        pool.prepare("reach", REACH_QUERY)
+        pool.prepare("fof", FOF_QUERY)
+        # new routing keys round-robin, so with 3 workers both statements
+        # land on every worker
+        for pid in (42, 43, 44, 45, 46, 47):
+            pool.run("reach", personId=pid)
+            pool.run("fof", personId=pid)
+        assert all(worker.executed_count for worker in pool._workers)
+        return pool._executor.compile_count
+
+
 def test_workers_share_one_closure_cache(raqlet):
-    with ServingPool(raqlet, FACTS, workers=3, executor="compiled") as pool:
-        pool.prepare("city", CITY_QUERY)
-        for pid in (42, 43, 44):  # round-robins across all three workers
-            pool.run("city", personId=pid)
-        compile_count = pool._executor.compile_count
-        assert compile_count > 0
-        # a fresh binding on yet another worker reuses every closure
-        pool.run("city", personId=45)
-        assert pool._executor.compile_count == compile_count
+    """Every worker plans the same relation names for a statement, so a
+    closure compiled on one worker serves them all."""
+    single = _closures_compiled(raqlet, 1)
+    assert single > 0
+    assert _closures_compiled(raqlet, 3) == single
 
 
 def test_columnar_workers_share_relation_encodings(raqlet):
