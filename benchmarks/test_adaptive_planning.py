@@ -28,7 +28,7 @@ import time
 
 from repro.dlir.builder import ProgramBuilder
 from repro.dlir.core import ArithExpr, Const, Var
-from repro.engines.datalog import DatalogEngine
+from repro.engines.datalog import DatalogEngine, planner
 
 #: fixpoint length (tick counts 0..K), warm-up slices, rows per hot slice,
 #: distinct x values in ``blow``, size of the ``sparse`` filter
@@ -82,8 +82,9 @@ def adaptive_facts():
     }
 
 
-def _run(replan_threshold, repeats=3):
+def _run(monkeypatch, replan_threshold, repeats=3):
     """Run the fixpoint ``repeats`` times; return (best seconds, engine)."""
+    monkeypatch.setattr(planner, "REPLAN_THRESHOLD", replan_threshold)
     best = float("inf")
     engine = None
     for _ in range(repeats):
@@ -94,7 +95,6 @@ def _run(replan_threshold, repeats=3):
             adaptive_facts(),
             store="memory",
             executor="compiled",
-            replan_threshold=replan_threshold,
         )
         started = time.perf_counter()
         engine.run()
@@ -110,11 +110,11 @@ def _victim_delta_tick_order(engine):
     raise AssertionError("victim delta plan not found in plan report")
 
 
-def test_adaptive_replanning_beats_frozen_plan():
+def test_adaptive_replanning_beats_frozen_plan(monkeypatch):
     """Re-planning on cardinality drift is >=2x over the frozen plan, and
     the counters + final join orders prove the mechanism produced it."""
-    frozen_seconds, frozen = _run(float("inf"))
-    adaptive_seconds, adaptive = _run(10)  # the default 10x drift threshold
+    frozen_seconds, frozen = _run(monkeypatch, float("inf"))
+    adaptive_seconds, adaptive = _run(monkeypatch, 10.0)  # the default
 
     # The workload is not degenerate, and planning strategy cannot change
     # results.
@@ -141,13 +141,12 @@ def test_adaptive_replanning_beats_frozen_plan():
     )
 
 
-def test_always_replan_matches_default_results():
-    """REPRO_REPLAN_THRESHOLD=1 semantics: re-planning every iteration (the
-    CI leg's configuration) changes plans, never facts."""
-    eager = DatalogEngine(
-        adaptive_program(), adaptive_facts(), replan_threshold=1
-    )
+def test_always_replan_matches_default_results(monkeypatch):
+    """A re-plan threshold of 1 — re-planning every iteration — changes
+    plans, never facts."""
     default = DatalogEngine(adaptive_program(), adaptive_facts())
+    monkeypatch.setattr(planner, "REPLAN_THRESHOLD", 1.0)
+    eager = DatalogEngine(adaptive_program(), adaptive_facts())
     eager.run()
     default.run()
     for relation in OUTPUTS:

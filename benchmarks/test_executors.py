@@ -47,8 +47,7 @@ def _run_tc(executor, repeats=3):
     best = float("inf")
     engine = None
     for _ in range(repeats):
-        # Pinned to the memory store: this benchmark compares executors, so
-        # REPRO_STORE must not redirect it.
+        # Pinned to the memory store: this benchmark compares executors.
         engine = DatalogEngine(program, facts, store="memory", executor=executor)
         started = time.perf_counter()
         engine.run()

@@ -25,11 +25,11 @@ Assertions:
   (``full_rederive_count == 0``), and the IVM engine never reset after
   its initial derivation, while the baseline reset once per read.
 
-The store follows ``REPRO_STORE`` so the CI matrix (including the
-always-replan × sqlite leg) exercises the stream on every backend; the
-executor is pinned to ``compiled`` so the IVM/baseline trajectory stays
-comparable across CI legs (maintenance itself is executor-independent —
-it runs on ``rule_solutions``, not the plan executors).
+The stream runs on both fact stores (memory and SQLite); the executor is
+pinned to ``compiled`` (maintenance itself is executor-independent — it
+runs on ``rule_solutions``, not the plan executors).
+``tests/engines/test_ivm_differential.py`` holds the maintained results
+exact under always-re-planning.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.ldbc.queries import friend_reachability
 #: interleaved insert→read steps per session
 MUTATIONS = 24
 
-#: conservative end-to-end speedup bar (observed: ~7× memory, ~11× sqlite)
+#: conservative end-to-end speedup bar
 MIN_SPEEDUP = 5.0
 
 #: slack for the flat-per-mutation assertion (closure cascades and timer
@@ -82,11 +82,21 @@ def _stream(session, spec, edges):
 
 
 def test_streaming_inserts_are_o_delta(bench_data, bench_raqlet):
+    _assert_streaming_is_o_delta(bench_data, bench_raqlet, "memory")
+
+
+def test_streaming_inserts_are_o_delta_on_sqlite(bench_data, bench_raqlet):
+    _assert_streaming_is_o_delta(bench_data, bench_raqlet, "sqlite")
+
+
+def _assert_streaming_is_o_delta(bench_data, bench_raqlet, store):
     person_ids = list(bench_data.dataset.person_ids)
     spec = friend_reachability(person_ids[0])
     edges = _new_edges(bench_data.facts, person_ids, MUTATIONS)
 
-    ivm_session = bench_raqlet.session(bench_data.facts, executor="compiled")
+    ivm_session = bench_raqlet.session(
+        bench_data.facts, store=store, executor="compiled"
+    )
     try:
         ivm_prepared, ivm_times = _stream(ivm_session, spec, edges)
         ivm_engine = ivm_prepared.engine
@@ -101,7 +111,7 @@ def test_streaming_inserts_are_o_delta(bench_data, bench_raqlet):
         ivm_session.close()
 
     baseline_session = bench_raqlet.session(
-        bench_data.facts, executor="compiled", ivm=False
+        bench_data.facts, store=store, executor="compiled", ivm=False
     )
     try:
         base_prepared, base_times = _stream(baseline_session, spec, edges)

@@ -23,6 +23,8 @@ Assertions:
 * every delivered ``(added, removed)`` equals the oracle's set-diff, and
   silent steps (empty diff) deliver nothing.
 
+The stream runs on both fact stores (memory and SQLite).
+
 A second benchmark drives the **columnar** executor's column cache: cold
 re-runs under rotating bindings over a mutating store re-encode only the
 mutated relation (``store_encode_count`` grows by one per mutation) and
@@ -69,6 +71,14 @@ def _arrival_batches(facts, anchors, count, seed=11):
 
 
 def test_standing_queries_beat_rerun_and_diff(bench_data, bench_raqlet):
+    _assert_standing_beats_rerun(bench_data, bench_raqlet, "memory")
+
+
+def test_standing_queries_beat_rerun_and_diff_on_sqlite(bench_data, bench_raqlet):
+    _assert_standing_beats_rerun(bench_data, bench_raqlet, "sqlite")
+
+
+def _assert_standing_beats_rerun(bench_data, bench_raqlet, store):
     person_ids = list(bench_data.dataset.person_ids)
     bindings = person_ids[:SUBSCRIPTIONS]
     assert len(bindings) == SUBSCRIPTIONS
@@ -76,7 +86,9 @@ def test_standing_queries_beat_rerun_and_diff(bench_data, bench_raqlet):
 
     # -- reactive stream: subscribe once, stream mutations -------------------
     deliveries = {pid: [] for pid in bindings}
-    session = bench_raqlet.session(bench_data.facts, executor="compiled")
+    session = bench_raqlet.session(
+        bench_data.facts, store=store, executor="compiled"
+    )
     try:
         template = session.prepare(FRIEND_REACHABILITY)
         for pid in bindings:
@@ -105,7 +117,7 @@ def test_standing_queries_beat_rerun_and_diff(bench_data, bench_raqlet):
     # -- baseline: re-run all K queries per mutation, diff by hand -----------
     oracle = {pid: [] for pid in bindings}
     baseline = bench_raqlet.session(
-        bench_data.facts, executor="compiled", ivm=False
+        bench_data.facts, store=store, executor="compiled", ivm=False
     )
     try:
         prepared = {

@@ -12,7 +12,8 @@ pool clears **3×** the throughput, reporting p50/p99 latency per pool.
 Correctness rides along: every single response is compared against a
 single-session oracle for its binding (zero divergence), and the coalescing
 sub-benchmark proves K identical in-flight requests collapse into one
-execution.
+execution.  The throughput benchmark runs on both fact stores: on SQLite
+the shared base's one connection is serialised across the worker threads.
 """
 
 from __future__ import annotations
@@ -44,13 +45,21 @@ def _percentile(latencies, fraction):
 
 
 def test_four_workers_triple_single_worker_qps(bench_data, bench_raqlet):
+    _assert_four_workers_triple_qps(bench_data, bench_raqlet, "memory")
+
+
+def test_four_workers_triple_single_worker_qps_on_sqlite(bench_data, bench_raqlet):
+    _assert_four_workers_triple_qps(bench_data, bench_raqlet, "sqlite")
+
+
+def _assert_four_workers_triple_qps(bench_data, bench_raqlet, store):
     person_ids = list(bench_data.dataset.person_ids[:BINDINGS])
     assert len(person_ids) == BINDINGS
     requests = BINDINGS * ROUNDS
 
     # -- single-session oracle per binding --------------------------------
     oracles = {}
-    with bench_raqlet.session(bench_data.facts) as session:
+    with bench_raqlet.session(bench_data.facts, store=store) as session:
         prepared = session.prepare(friend_reachability(person_ids[0])["query"])
         for person_id in person_ids:
             oracles[person_id] = prepared.run(personId=person_id).row_set()
@@ -58,7 +67,9 @@ def test_four_workers_triple_single_worker_qps(bench_data, bench_raqlet):
     elapsed = {}
     latencies = {}
     for workers in (1, 4):
-        with ServingPool(bench_raqlet, bench_data.facts, workers=workers) as pool:
+        with ServingPool(
+            bench_raqlet, bench_data.facts, workers=workers, store=store
+        ) as pool:
             pool.prepare("reach", friend_reachability(person_ids[0])["query"])
             # one untimed warm-up round so both pools start post-cold-start
             for person_id in person_ids:

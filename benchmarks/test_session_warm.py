@@ -11,13 +11,9 @@ re-derives.  The headline assertion is deliberately conservative:
 * between warm runs the counters are flat: one ingest for the whole
   session, zero index rebuilds, zero plan recompiles.
 
-The store follows ``REPRO_STORE`` so the CI matrix exercises the warm
-path on every backend; the executor is pinned to ``compiled`` so the
-warm/cold trajectory stays comparable across CI legs (the columnar leg
-would otherwise change both sides of the ratio).  The re-plan threshold
-is pinned to the default because the always-replan stress leg rebuilds
-plans per snapshot by design — exactly the cost this benchmark asserts
-the warm path avoids.
+Both sides run the default store and the compiled executor, so the ratio
+compares request paths only; ``tests/engines/test_session.py`` checks the
+same flat counters on the SQLite store and the interpreter.
 """
 
 from __future__ import annotations
@@ -41,15 +37,13 @@ def test_warm_prepared_runs_beat_cold_oneshot(bench_data, bench_raqlet):
         started = time.perf_counter()
         compiled = bench_raqlet.compile_cypher(spec["query"], spec["parameters"])
         result = bench_raqlet.run_on_datalog_engine(
-            compiled, bench_data.facts, executor="compiled", replan_threshold=10
+            compiled, bench_data.facts, executor="compiled"
         )
         cold_times.append(time.perf_counter() - started)
         cold_results.append(result.row_set())
 
     # -- warm: one session, one prepared query, N bindings ----------------
-    session = bench_raqlet.session(
-        bench_data.facts, executor="compiled", replan_threshold=10
-    )
+    session = bench_raqlet.session(bench_data.facts, executor="compiled")
     try:
         prepared = session.prepare(short_query_1(person_ids[0])["query"])
         warm_times = []

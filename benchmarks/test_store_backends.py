@@ -33,7 +33,7 @@ def test_tc_fixpoint_store_backends(benchmark, backend):
 
     def run():
         # Pinned to the compiled executor: this benchmark compares store
-        # backends, so REPRO_EXECUTOR must not redirect it.
+        # backends.
         engine = DatalogEngine(program, facts, store=backend, executor="compiled")
         engine.run()
         return engine

@@ -8,11 +8,10 @@ Compile a Cypher query against a PG-Schema file and print every artifact::
 
 Run one of the bundled LDBC queries on every engine over a synthetic dataset
 (``--store sqlite`` runs the Datalog engine on the SQLite-backed fact store,
-``--executor interpreted`` selects its plan interpreter instead of the
-default compiled closures, ``--executor columnar`` the NumPy column-array
-executor)::
+``--executor columnar`` the NumPy column-array executor instead of the
+default compiled closures)::
 
-    raqlet ldbc --query sq1 --scale 200 --store sqlite --executor interpreted
+    raqlet ldbc --query sq1 --scale 200 --store sqlite --executor columnar
 
 Print the Datalog engine's plan report for a recursive query — join orders,
 per-step fan-out estimates, and the adaptive re-planning counters::
@@ -246,11 +245,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         spec = make_spec(data, default_pid)
         params = pool.prepare(name, spec["query"])
         print(f"prepared {name}({', '.join(params)})")
-    if args.tick:
-        # Subscriptions already deliver per mutation; the ticker is a
-        # periodic safety net for out-of-band writers to the shared EDB.
-        pool.start_ticker(args.tick)
-        print(f"notification tick every {args.tick}s")
 
     async def serve() -> None:
         server = RaqletServer(pool, host=args.host, port=args.port)
@@ -307,15 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         default=None,
         metavar="memory|sqlite[:PATH]",
-        help="fact-store backend for the Datalog engine "
-        "(default: $REPRO_STORE or memory)",
+        help="fact-store backend for the Datalog engine (default: memory)",
     )
     ldbc_parser.add_argument(
         "--executor",
-        choices=["interpreted", "compiled", "columnar"],
-        default=None,
-        help="plan executor for the Datalog engine "
-        "(default: $REPRO_EXECUTOR or compiled)",
+        choices=["compiled", "columnar"],
+        default="compiled",
+        help="plan executor for the Datalog engine (default: compiled)",
     )
     ldbc_parser.add_argument(
         "--repeat",
@@ -343,28 +335,19 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--workers", type=int, default=4, help="serving pool worker sessions"
     )
-    serve_parser.add_argument(
-        "--tick",
-        type=float,
-        default=0.0,
-        help="also flush subscription notifications every TICK seconds "
-        "(0 = mutation-driven only)",
-    )
     serve_parser.add_argument("--scale", type=int, default=100, help="number of persons")
     serve_parser.add_argument("--seed", type=int, default=42)
     serve_parser.add_argument(
         "--store",
         default=None,
         metavar="memory|sqlite[:PATH]",
-        help="fact-store backend shared by the pool "
-        "(default: $REPRO_STORE or memory)",
+        help="fact-store backend shared by the pool (default: memory)",
     )
     serve_parser.add_argument(
         "--executor",
-        choices=["interpreted", "compiled", "columnar"],
-        default=None,
-        help="plan executor shared by the pool workers "
-        "(default: $REPRO_EXECUTOR or compiled)",
+        choices=["compiled", "columnar"],
+        default="compiled",
+        help="plan executor shared by the pool workers (default: compiled)",
     )
     serve_parser.set_defaults(func=_cmd_serve)
     return parser

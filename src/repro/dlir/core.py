@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import TranslationError
-from repro.schema.dl_schema import DLColumn, DLRelation, DLSchema, DLType
+from repro.schema.dl_schema import DLRelation, DLSchema, DLType
 
 ConstValue = Union[int, float, str, bool]
 
@@ -446,10 +446,6 @@ class DLIRProgram:
                     names.append(name)
         return names
 
-    def declaration(self, relation: str) -> Optional[DLRelation]:
-        """Return the declaration of ``relation`` if the schema has one."""
-        return self.schema.maybe_get(relation)
-
     # -- construction ----------------------------------------------------
 
     def declare(self, relation: DLRelation) -> None:
@@ -516,11 +512,6 @@ class DLIRProgram:
         lines.extend(str(rule) for rule in self.rules)
         lines.extend(f".output {name}" for name in self.outputs)
         return "\n".join(lines)
-
-
-def make_columns(names_and_types: Sequence[Tuple[str, DLType]]) -> Tuple[DLColumn, ...]:
-    """Build a tuple of :class:`DLColumn` from ``(name, type)`` pairs."""
-    return tuple(DLColumn(name, dl_type) for name, dl_type in names_and_types)
 
 
 def rename_relations(

@@ -15,20 +15,24 @@ Storage is pluggable behind the
 :class:`FactStore` is the default, and
 :class:`~repro.engines.datalog.storage_sqlite.SQLiteFactStore` stores
 relations in SQLite (in-memory or on disk).  Select a backend with
-``DatalogEngine(..., store="sqlite")`` or the ``REPRO_STORE`` environment
-variable; compiled plans run unchanged on either store.
+``DatalogEngine(..., store="sqlite")``; compiled plans run unchanged on
+either store.
 
 Plan **execution** is pluggable too: the default
 :class:`~repro.engines.datalog.executor_compiled.CompiledExecutor`
 source-generates one specialised closure per plan (inlined loop nest,
 batched ``lookup_many`` index probes), while
-``DatalogEngine(..., executor="interpreted")`` or the ``REPRO_EXECUTOR``
-environment variable selects the step-by-step plan interpreter and
+``DatalogEngine(..., executor="interpreted")`` selects the step-by-step
+plan interpreter and
 ``executor="columnar"`` the NumPy column-array executor
 (:class:`~repro.engines.datalog.executor_columnar.ColumnarExecutor`;
 requires the ``repro[columnar]`` extra, falls back per-plan to compiled).
 The columnar module — and NumPy with it — loads only when a columnar
 executor is built, so import it from its own module.
+
+Every setting is an argument with one default: ``store=None`` means memory,
+``executor=None`` means compiled, and the adaptive re-planning threshold is
+the planner's ``REPLAN_THRESHOLD`` constant.  Nothing reads the environment.
 """
 
 from repro.engines.datalog.engine import DatalogEngine, evaluate_program
@@ -46,7 +50,6 @@ from repro.engines.datalog.statistics import (
     StatsAccumulator,
     StatsRegistry,
     drift_ratio,
-    resolve_replan_threshold,
 )
 from repro.engines.datalog.storage import (
     DeltaView,
@@ -61,7 +64,6 @@ __all__ = [
     "StatsAccumulator",
     "StatsRegistry",
     "drift_ratio",
-    "resolve_replan_threshold",
     "DatalogEngine",
     "evaluate_program",
     "StoreBackend",

@@ -15,7 +15,7 @@ through a pluggable :class:`~repro.engines.datalog.executor_compiled.RuleExecuto
 closure per plan and batches each join step's index probes through
 ``StoreBackend.lookup_many`` (select ``executor="interpreted"`` for the
 plan interpreter or ``executor="columnar"`` for the NumPy column-array
-executor, or set the ``REPRO_EXECUTOR`` environment variable).
+executor).
 
 Min/max subsumption (``Rule.subsume_min`` / ``subsume_max``) is honoured
 during insertion: for a relation with a subsumption spec only the best value
@@ -47,8 +47,9 @@ from repro.engines.datalog.executor_compiled import (
     RuleExecutor,
     create_executor,
 )
+from repro.engines.datalog import planner
 from repro.engines.datalog.planner import PlanCache, RulePlan
-from repro.engines.datalog.statistics import RelationStats, resolve_replan_threshold
+from repro.engines.datalog.statistics import RelationStats
 from repro.engines.datalog.storage import (
     DeltaView,
     StoreBackend,
@@ -102,7 +103,6 @@ class DatalogEngine:
         *,
         store: StoreSpec = None,
         executor: ExecutorSpec = None,
-        replan_threshold: Optional[float] = None,
         parameters: Optional[Mapping[str, object]] = None,
         ivm: bool = False,
     ) -> None:
@@ -110,23 +110,18 @@ class DatalogEngine:
         if problems:
             raise ExecutionError("invalid DLIR program: " + "; ".join(problems))
         self._program = program
-        # ``store`` selects the backend: ``"memory"`` (default), ``"sqlite"``
-        # / ``"sqlite:PATH"``, a StoreBackend instance, or None to honour the
-        # REPRO_STORE environment variable.  ``executor`` selects how plans
-        # run: ``"compiled"`` (default; source-generated closures with
+        # ``store`` selects the backend: ``"memory"`` (the default, also
+        # for None), ``"sqlite"`` / ``"sqlite:PATH"``, or a StoreBackend
+        # instance.  ``executor`` selects how plans run: ``"compiled"``
+        # (the default, also for None; source-generated closures with
         # batched index probes), ``"interpreted"`` (the plan walker), or
         # ``"columnar"`` (NumPy column arrays with vectorised kernels,
-        # falling back per-plan to compiled), with None honouring
-        # REPRO_EXECUTOR.  ``replan_threshold`` is the
-        # cardinality drift factor that triggers adaptive re-planning
-        # (default 10, env REPRO_REPLAN_THRESHOLD; 1 = re-plan every
-        # iteration, float("inf") = freeze first plans).  ``parameters``
-        # binds the program's late-bound ``$name`` placeholders for this
-        # evaluation (rebind with ``reset(parameters=...)``).
+        # falling back per-plan to compiled).  ``parameters`` binds the
+        # program's late-bound ``$name`` placeholders for this evaluation
+        # (rebind with ``reset(parameters=...)``).
         self._store = create_store(store)
         self._executor = create_executor(executor)
-        self._replan_threshold = resolve_replan_threshold(replan_threshold)
-        self._plans = PlanCache(replan_threshold=self._replan_threshold)
+        self._plans = PlanCache()
         self._params: Dict[str, object] = dict(parameters or {})
         self._evaluated = False
         self._iterations: Dict[str, int] = {}
@@ -187,11 +182,6 @@ class DatalogEngine:
         return int(getattr(executor, "fallback_count", 0)) + int(
             getattr(executor, "runtime_fallback_count", 0)
         )
-
-    @property
-    def replan_threshold(self) -> float:
-        """Return the cardinality drift factor that triggers re-planning."""
-        return self._replan_threshold
 
     @property
     def replan_count(self) -> int:
@@ -499,7 +489,7 @@ class DatalogEngine:
         lines = ["datalog plan report"]
         lines.append(
             f"  executor={self._executor.name} store={type(store).__name__} "
-            f"replan_threshold={self._replan_threshold:g}"
+            f"replan_threshold={planner.REPLAN_THRESHOLD:g}"
         )
         lines.append(
             f"  plans_built={self.plan_build_count} replans={self.replan_count} "
@@ -556,17 +546,7 @@ class DatalogEngine:
         )
 
     def _stats_snapshot(self, relations: Sequence[str]) -> Dict[str, RelationStats]:
-        """Snapshot cardinality/distinct statistics for ``relations``.
-
-        With ``replan_threshold=inf`` drift checks never
-        read the snapshot and only first builds consume statistics — and
-        those backfill per-relation stats from the store on demand (see
-        ``_atom_cost``).  Returning an empty snapshot there avoids paying a
-        per-iteration aggregate scan per relation on the SQLite backend for
-        numbers nothing would read.
-        """
-        if self._replan_threshold == float("inf"):
-            return {}
+        """Snapshot cardinality/distinct statistics for ``relations``."""
         self.stats_snapshot_count += 1
         return {name: self._store.relation_stats(name) for name in relations}
 

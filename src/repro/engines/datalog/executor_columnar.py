@@ -56,8 +56,8 @@ counts the applications that completed columnar, which is what the
 differential corpus' coverage assertions read.
 
 Executor selection threads ``DatalogEngine(..., executor="columnar")`` →
-``Raqlet`` → the CLI's ``--executor columnar`` → the ``REPRO_EXECUTOR``
-environment variable, exactly like PR 3's compiled executor.  Equivalence
+``Raqlet`` → the CLI's ``--executor columnar``, exactly like the compiled
+executor.  Equivalence
 with the other two executors is held by the 50-seed store differential and
 32-seed IVM differential harnesses plus the Hypothesis kernel contracts in
 ``tests/engines/test_columnar_kernels.py``; plan lowerings are golden-

@@ -46,14 +46,12 @@ grouping logic via :func:`~repro.engines.datalog.evaluation.aggregate_solutions`
 or a delta step the planner did not place first) silently falls back to the
 interpreted executor — correctness never depends on codegen coverage.
 Executor selection threads ``DatalogEngine(..., executor=...)`` →
-``Raqlet`` → the CLI's ``--executor`` → the ``REPRO_EXECUTOR`` environment
-variable, defaulting to ``"compiled"``.
+``Raqlet`` → the CLI's ``--executor``, defaulting to ``"compiled"``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
 import threading
 from dataclasses import dataclass
@@ -68,7 +66,6 @@ from repro.dlir.core import (
     Rule,
     Term,
     Var,
-    term_variables,
 )
 from repro.engines.datalog.evaluation import (
     aggregate_solutions,
@@ -228,82 +225,7 @@ class _PlanCompiler:
 
     # -- guard emission ---------------------------------------------------
 
-    def _step_negations_batchable(self, step) -> bool:
-        """Whether the step's negation probes can be batched per level.
-
-        Batching evaluates every candidate row's negation keys before any
-        check runs, so it is only safe when that pre-evaluation cannot be
-        observed: every variable a negation mentions must be bound by the
-        time the step's guard runs (the planner's never-bound fallback
-        scheduling routes through ``_unbound``, whose raise the interpreter
-        only reaches for rows that survive the preceding negations), and no
-        negation after the first may have a key term that can itself raise
-        (arithmetic — division by zero, mixed types), because the
-        interpreter never evaluates negation *j*'s key for a row negation
-        *j-1* already rejected.  The first negation's keys are computed for
-        exactly the rows that pass the guard ops on both paths, so it may
-        use arithmetic freely.
-        """
-        guard = step.guard
-        if not guard.negations:
-            return False
-        known = set(self.env)
-        known.update(name for _, name in step.bind_positions)
-        known.update(op[1] for op in guard.ops if op[0] == "assign")
-        if not all(
-            all(variable in known for variable in term_variables(term))
-            for negation in guard.negations
-            for term in negation.terms
-        ):
-            return False
-        return all(
-            isinstance(term, (Const, Var, Param))
-            for negation in guard.negations[1:]
-            for term in negation.terms
-        )
-
-    def _emit_negation_buffers(self, index: int, guard: Guard, indent: int) -> None:
-        """Declare the per-level candidate and negation-key buffers."""
-        self.emit(f"cand_{index} = []", indent)
-        for j in range(len(guard.negations)):
-            self.emit(f"negkeys_{index}_{j} = []", indent)
-
-    def _emit_negation_collect(self, index: int, guard: Guard, indent: int) -> None:
-        """Append the row's negation keys and candidate slots (one level)."""
-        for j, negation in enumerate(guard.negations):
-            key = self._tuple([self._term(term) for term in negation.terms])
-            self.emit(f"negkeys_{index}_{j}.append({key})", indent)
-        self.emit(f"cand_{index}.append({self._tuple(self.slots)})", indent)
-
-    def _emit_negation_filter_header(self, index: int, guard: Guard) -> None:
-        """Probe each negated relation once for the whole level, then open
-        the loop over surviving candidates (bodies emitted by the caller at
-        indent 2)."""
-        for j, negation in enumerate(guard.negations):
-            self.emit(
-                f"negmap_{index}_{j} = lookup_many("
-                f"{negation.relation!r}, {negation.positions!r}, "
-                f"negkeys_{index}_{j})",
-                1,
-            )
-        zip_sources = ", ".join(
-            [f"cand_{index}"]
-            + [f"negkeys_{index}_{j}" for j in range(len(guard.negations))]
-        )
-        targets = ", ".join(
-            [self._pattern()]
-            + [f"negk_{index}_{j}" for j in range(len(guard.negations))]
-        )
-        self.emit(f"for {targets} in zip({zip_sources}):", 1)
-        for j in range(len(guard.negations)):
-            self.emit(f"if negmap_{index}_{j}[negk_{index}_{j}]:", 2)
-            self.emit("continue", 3)
-
     def _emit_guard(self, guard: Guard, indent: int, fail: str) -> None:
-        self._emit_guard_ops(guard, indent, fail)
-        self._emit_negation_probes(guard, indent, fail)
-
-    def _emit_guard_ops(self, guard: Guard, indent: int, fail: str) -> None:
         for op in guard.ops:
             if op[0] == "assign":
                 expr = self._term(op[2])
@@ -332,9 +254,9 @@ class _PlanCompiler:
                     )
                     self.emit("if not _ok:", indent)
                     self.emit(fail, indent + 1)
-
-    def _emit_negation_probes(self, guard: Guard, indent: int, fail: str) -> None:
-        """One ``lookup`` per row per negation (prelude and fallback path)."""
+        # One ``lookup`` per surviving row per negation, in the interpreter's
+        # order: a later negation's key is never evaluated for a row an
+        # earlier one rejected.
         for negation in guard.negations:
             key = self._tuple([self._term(term) for term in negation.terms])
             self.emit(
@@ -376,11 +298,6 @@ class _PlanCompiler:
         for index, step in enumerate(plan.steps):
             atom = rule.body[step.body_index]
             is_last = index == last_index
-            # Negation probes whose keys are fully bound are *batched*: the
-            # level's keys are collected into one lookup_many per negated
-            # relation, then candidates are filtered — instead of one lookup
-            # per candidate row.
-            batch_negations = self._step_negations_batchable(step)
             is_delta = (
                 plan.delta_index is not None
                 and step.body_index == plan.delta_index
@@ -416,9 +333,7 @@ class _PlanCompiler:
                         f"rows_0 = lookup({step.relation!r}, {positions_src}, {key_src})",
                         1,
                     )
-                if batch_negations:
-                    self._emit_negation_buffers(index, step.guard, 1)
-                elif not is_last:
+                if not is_last:
                     self.emit("sols = []", 1)
                 self.emit("for row in rows_0:", 1)
                 body_indent = 2
@@ -440,9 +355,7 @@ class _PlanCompiler:
                         f"{step.relation!r}, {positions_src}, keys_{index})",
                         1,
                     )
-                    if batch_negations:
-                        self._emit_negation_buffers(index, step.guard, 1)
-                    elif not is_last:
+                    if not is_last:
                         self.emit("new_sols = []", 1)
                     self.emit(
                         f"for key_{index}, {prev_pattern} in zip(keys_{index}, sols):",
@@ -456,9 +369,7 @@ class _PlanCompiler:
                         f"{positions_src}, {key_src})",
                         1,
                     )
-                    if batch_negations:
-                        self._emit_negation_buffers(index, step.guard, 1)
-                    elif not is_last:
+                    if not is_last:
                         self.emit("new_sols = []", 1)
                     self.emit(f"for {prev_pattern} in sols:", 1)
                     self.emit(f"for row in rows_{index}:", 2)
@@ -474,20 +385,6 @@ class _PlanCompiler:
             for position, name in step.bind_positions:
                 ident = self._bind(name)
                 self.emit(f"{ident} = row[{position}]", body_indent)
-            if batch_negations:
-                # The level's loop only *collects*: run the non-negation
-                # guard ops, stash each survivor's negation keys and slots,
-                # then probe every negated relation once and filter.
-                self._emit_guard_ops(step.guard, body_indent, "continue")
-                self._emit_negation_collect(index, step.guard, body_indent)
-                if not is_last:
-                    self.emit("sols = []", 1)
-                self._emit_negation_filter_header(index, step.guard)
-                if is_last:
-                    self._emit_result(is_aggregate, 2)
-                else:
-                    self.emit(f"sols.append({self._tuple(self.slots)})", 2)
-                continue
             self._emit_guard(step.guard, body_indent, "continue")
             if is_last:
                 # The final level projects straight out of the loop — no
@@ -725,17 +622,14 @@ def create_executor(spec: ExecutorSpec = None) -> RuleExecutor:
 
     ``spec`` may be an existing executor instance (returned as-is), one of
     the strings ``"interpreted"`` / ``"compiled"`` / ``"columnar"``, or
-    ``None`` — which reads the ``REPRO_EXECUTOR`` environment variable and
-    defaults to ``"compiled"``.  The environment hook is what lets CI run
-    the whole test suite on any executor without touching any call site,
-    mirroring ``REPRO_STORE`` for storage backends.  ``"columnar"`` requires
+    ``None`` — the compiled default.  ``"columnar"`` requires
     NumPy (the ``repro[columnar]`` extra) and raises
     :class:`~repro.common.errors.ExecutionError` without it.
     """
     if isinstance(spec, RuleExecutor):
         return spec
     if spec is None:
-        spec = os.environ.get("REPRO_EXECUTOR") or "compiled"
+        spec = "compiled"
     if not isinstance(spec, str):
         raise ValueError(f"unsupported executor specification {spec!r}")
     if spec == "interpreted":

@@ -115,10 +115,6 @@ class MaintenanceReport:
         self.removed: Delta = removed if removed is not None else {}
         self.full_rederive = full_rederive
 
-    def changed(self) -> bool:
-        """Whether any relation changed at all."""
-        return any(self.added.values()) or any(self.removed.values())
-
     def relations(self) -> Set[str]:
         """Return the names of every relation the pass changed."""
         return {

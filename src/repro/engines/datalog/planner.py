@@ -32,8 +32,7 @@ A plan built from statistics records the cardinalities it was costed on
 :class:`PlanCache` — which the engine threads through the stratum loop so
 recursive rules reuse their plans across fixpoint iterations — uses the
 basis for **adaptive re-planning**: when a fresh snapshot shows any basis
-relation drifted by the re-plan threshold (default 10×, see
-:func:`~repro.engines.datalog.statistics.resolve_replan_threshold`), the
+relation drifted by :data:`REPLAN_THRESHOLD` (10×), the
 cached plan is rebuilt against current statistics and the cache's stats
 epoch advances.  Plan identity changes but plan *structure* only changes
 when the join order actually moved, so the compiled executor's
@@ -65,9 +64,12 @@ from repro.engines.datalog.statistics import (
     RelationStats,
     StatsSnapshot,
     drift_ratio,
-    resolve_replan_threshold,
 )
 from repro.engines.datalog.storage import StoreBackend
+
+#: cardinality drift factor (see :func:`drift_ratio`) at which a cached
+#: plan is rebuilt against current statistics
+REPLAN_THRESHOLD = 10.0
 
 # Guard operations are tagged tuples kept deliberately small for the hot loop:
 #   ("assign", var_name, term)  -- bind var_name to the evaluated term
@@ -524,17 +526,16 @@ class PlanCache:
 
     **Adaptive re-planning.**  When :meth:`plan_for` receives a statistics
     snapshot and the cached plan's ``stats_basis`` shows any relation
-    drifted by ``replan_threshold`` (a factor; default 10×, overridable via
-    ``REPRO_REPLAN_THRESHOLD`` — ``1`` re-plans on every snapshot,
-    ``inf`` never), the entry is rebuilt against the current snapshot and
-    the cache's ``stats_epoch`` advances.  The fresh plan is a *new object*
-    (so the compiled executor's identity memo cannot serve stale code) but
-    equal-by-structure to the old one unless the join order actually moved
-    — which is exactly when the structure-keyed closure cache regenerates.
+    drifted by the factor :data:`REPLAN_THRESHOLD`, the entry is rebuilt
+    against the current snapshot and the cache's ``stats_epoch`` advances.
+    The fresh plan is a *new object* (so the compiled executor's identity
+    memo cannot serve stale code) but equal-by-structure to the old one
+    unless the join order actually moved — which is exactly when the
+    structure-keyed closure cache regenerates.
     ``replan_count`` / ``plan_build_count`` make the mechanism observable.
     """
 
-    def __init__(self, replan_threshold: Optional[float] = None) -> None:
+    def __init__(self) -> None:
         self._plans: Dict[Tuple[int, Optional[int]], RulePlan] = {}
         self._rules: Dict[int, Rule] = {}
         # Each engine owns one PlanCache and a serving worker owns its
@@ -542,9 +543,6 @@ class PlanCache:
         # introspection surfaces (explain/stats readers on other threads)
         # from observing a half-built entry.
         self._lock = threading.RLock()
-        #: drift factor that triggers a re-plan (resolved from the
-        #: environment when not given explicitly)
-        self.replan_threshold = resolve_replan_threshold(replan_threshold)
         #: plans built from scratch (first builds + re-plans)
         self.plan_build_count = 0
         #: cache entries rebuilt because their statistics basis drifted
@@ -587,12 +585,12 @@ class PlanCache:
         """Whether any relation the plan was costed on moved past the
         threshold (greedy-fallback plans, with no basis, never drift)."""
         basis = plan.stats_basis
-        if basis is None or self.replan_threshold == float("inf"):
+        if basis is None:
             return False
         for relation, planned_cardinality in basis:
             entry = stats.get(relation)
             current = entry.cardinality if entry is not None else 0
-            if drift_ratio(current, planned_cardinality) >= self.replan_threshold:
+            if drift_ratio(current, planned_cardinality) >= REPLAN_THRESHOLD:
                 return True
         return False
 

@@ -24,39 +24,15 @@ the hypothesis contract suite (``tests/engines/test_statistics_contract.py``).
 Drift detection (:func:`drift_ratio`) is what turns these snapshots into
 adaptive planning: the engine compares the cardinalities a plan was costed
 on (``RulePlan.stats_basis``) against the current snapshot and re-plans the
-rule when any relation moved by the re-plan threshold (default 10×).
+rule when any relation moved by the planner's ``REPLAN_THRESHOLD`` (10×).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Row = Tuple
-
-#: default drift factor that triggers a re-plan (see :func:`drift_ratio`)
-DEFAULT_REPLAN_THRESHOLD = 10.0
-
-#: environment variable overriding the re-plan threshold (``1`` = re-plan on
-#: every snapshot, ``inf`` = never re-plan)
-REPLAN_THRESHOLD_ENV = "REPRO_REPLAN_THRESHOLD"
-
-
-def resolve_replan_threshold(value: Optional[float] = None) -> float:
-    """Resolve the drift threshold: explicit value, else env var, else 10.
-
-    ``1`` (the floor) makes every drift check fire — the always-re-plan
-    configuration CI exercises; ``float("inf")`` disables re-planning (the
-    frozen-plan configuration the adaptive benchmark compares against).
-    """
-    if value is None:
-        raw = os.environ.get(REPLAN_THRESHOLD_ENV) or ""
-        value = float(raw) if raw else DEFAULT_REPLAN_THRESHOLD
-    value = float(value)
-    if value < 1.0:
-        raise ValueError(f"re-plan threshold must be >= 1, got {value!r}")
-    return value
 
 
 def drift_ratio(current: int, basis: int) -> float:

@@ -19,8 +19,8 @@ mutations.  Two backends ship with the repository:
   for large EDBs.
 
 :func:`create_store` resolves a backend specification string
-(``"memory"``, ``"sqlite"``, ``"sqlite:/path/to.db"``; default from the
-``REPRO_STORE`` environment variable) into a backend instance.
+(``"memory"``, ``"sqlite"``, ``"sqlite:/path/to.db"``; ``None`` means
+``"memory"``) into a backend instance.
 
 For the in-memory store, joins go through hash indexes: an index for
 relation ``R`` on positions ``(0, 2)`` maps each ``(value0, value2)`` key to
@@ -43,7 +43,6 @@ in memory regardless of the backend storing the full relations.
 from __future__ import annotations
 
 import abc
-import os
 import threading
 from collections import defaultdict
 from contextlib import contextmanager
@@ -245,15 +244,12 @@ def create_store(spec: StoreSpec = None) -> StoreBackend:
 
     ``spec`` may be an existing backend instance (returned as-is), one of the
     strings ``"memory"``, ``"sqlite"`` (private in-memory SQLite database) or
-    ``"sqlite:PATH"`` (file-backed), or ``None`` — which reads the
-    ``REPRO_STORE`` environment variable and defaults to ``"memory"``.  The
-    environment hook is what lets CI run the whole test suite against the
-    SQLite backend without touching any call site.
+    ``"sqlite:PATH"`` (file-backed), or ``None`` — the in-memory default.
     """
     if isinstance(spec, StoreBackend):
         return spec
     if spec is None:
-        spec = os.environ.get("REPRO_STORE") or "memory"
+        spec = "memory"
     if not isinstance(spec, str):
         raise ValueError(f"unsupported fact-store specification {spec!r}")
     if spec == "memory":

@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import ExecutionError
 from repro.engines.datalog.delta_log import DeltaLog, Entry
@@ -95,6 +95,8 @@ class SharedEDB:
         self._touches: Dict[str, List[int]] = {}
         #: per-relation count of change epochs already folded into the base
         self._touch_base: Dict[str, int] = {}
+        #: called with no arguments after every effective batch
+        self._listeners: List[Callable[[], object]] = []
         self.write_count = 0
         self.fold_count = 0
 
@@ -146,6 +148,17 @@ class SharedEDB:
 
     # -- write side ---------------------------------------------------------
 
+    def add_listener(self, listener: Callable[[], object]) -> None:
+        """Call ``listener()`` after every batch that changed the EDB."""
+        with self._lock:
+            self._listeners.append(listener)
+
+    def remove_listener(self, listener: Callable[[], object]) -> None:
+        """Unregister ``listener`` (a no-op when it is not registered)."""
+        with self._lock:
+            if listener in self._listeners:
+                self._listeners.remove(listener)
+
     def ingest(self, facts: Mapping[str, Iterable[Row]]) -> int:
         """Insert many relations' rows in one epoch; return rows added."""
         return self.apply(facts, None)[0]
@@ -169,7 +182,7 @@ class SharedEDB:
         Only *effective* changes are recorded (inserting a visible row or
         retracting an absent one is a no-op), so the log entries are valid
         IVM deltas.  A batch with zero effective changes does not bump the
-        epoch.
+        epoch; any other batch calls every listener, outside the lock.
         """
         with self._lock:
             net = self._current_net()
@@ -216,7 +229,11 @@ class SharedEDB:
                 self.write_count += 1
                 if not self._pins:
                     self._fold()
-            return inserted, retracted, self._log.epoch
+            epoch = self._log.epoch
+            listeners = list(self._listeners) if entries else []
+        for listener in listeners:
+            listener()
+        return inserted, retracted, epoch
 
     # -- read side ----------------------------------------------------------
 
@@ -247,11 +264,6 @@ class SharedEDB:
                 self._pins.pop(epoch, None)
                 if not self._pins:
                     self._fold()
-
-    def pinned_epochs(self) -> Dict[int, int]:
-        """Return ``{epoch: pin count}`` (diagnostics)."""
-        with self._lock:
-            return dict(self._pins)
 
     def version_at(self, name: str, epoch: int) -> int:
         """Monotone per-relation change counter as of ``epoch`` — the number

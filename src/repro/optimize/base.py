@@ -69,11 +69,6 @@ class PassManager:
         self._max_rounds = max_rounds
         self.trace = OptimizationTrace()
 
-    @property
-    def passes(self) -> List[Pass]:
-        """Return the configured passes in execution order."""
-        return list(self._passes)
-
     def run(self, program: DLIRProgram) -> DLIRProgram:
         """Apply the pipeline to ``program`` and return the optimized program."""
         self.trace = OptimizationTrace()

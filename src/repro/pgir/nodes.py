@@ -95,21 +95,6 @@ class PGMatch(PGClause):
     node_patterns: Tuple[PGNodePattern, ...] = ()
     optional: bool = False
 
-    def all_node_patterns(self) -> List[PGNodePattern]:
-        """Return every node pattern mentioned by the clause (no duplicates)."""
-        result: List[PGNodePattern] = []
-        seen = set()
-        for edge in self.edge_patterns:
-            for node in (edge.source, edge.target):
-                if node.identifier not in seen:
-                    seen.add(node.identifier)
-                    result.append(node)
-        for node in self.node_patterns:
-            if node.identifier not in seen:
-                seen.add(node.identifier)
-                result.append(node)
-        return result
-
     def __str__(self) -> str:
         keyword = "OPTIONAL MATCH" if self.optional else "MATCH"
         parts = [str(edge) for edge in self.edge_patterns]
@@ -167,10 +152,6 @@ class PGReturn(PGClause):
 
     items: Tuple[PGProjectionItem, ...]
     distinct: bool = False
-
-    def output_columns(self) -> List[str]:
-        """Return the output column names in order."""
-        return [item.alias for item in self.items]
 
     def __str__(self) -> str:
         distinct = "DISTINCT " if self.distinct else ""

@@ -224,7 +224,7 @@ class Raqlet:
         *,
         store=None,
         executor=None,
-        **engine_options,
+        ivm: bool = True,
     ):
         """Open a persistent :class:`~repro.session.Session` over ``facts``.
 
@@ -234,15 +234,13 @@ class Raqlet:
         :meth:`~repro.session.Session.execute` across engines, and supports
         :meth:`~repro.session.Session.insert` /
         :meth:`~repro.session.Session.retract` mutations with lazy
-        re-derivation.  ``store`` / ``executor`` / ``engine_options`` are
-        resolved exactly like the one-shot API (``None`` honours
-        ``REPRO_STORE`` / ``REPRO_EXECUTOR``).
+        re-derivation.  ``store`` / ``executor`` select the backend exactly
+        like the one-shot API (``None`` means memory / compiled); ``ivm=False``
+        replaces incremental maintenance with mark-dirty + re-derive.
         """
         from repro.session import Session
 
-        return Session(
-            self, facts, store=store, executor=executor, **engine_options
-        )
+        return Session(self, facts, store=store, executor=executor, ivm=ivm)
 
     # -- execution ------------------------------------------------------------
 
@@ -255,7 +253,6 @@ class Raqlet:
         store=None,
         executor=None,
         parameters: Optional[Mapping[str, object]] = None,
-        **engine_options,
     ) -> DatalogEngine:
         """Build (without running) a Datalog engine for the compiled query.
 
@@ -264,22 +261,13 @@ class Raqlet:
         iteration counts — hold the engine; plain execution goes through
         :meth:`run_on_datalog_engine`.  ``parameters`` binds late-bound
         ``$name`` placeholders (merged over the compile-time values).
-        Store and executor selection routes through
-        :func:`repro.session.resolve_execution_options`, the single place
-        where ``None`` falls back to ``REPRO_STORE`` / ``REPRO_EXECUTOR``.
         """
-        from repro.session import resolve_execution_options
-
-        resolved_store, resolved_executor = resolve_execution_options(
-            store, executor
-        )
         return DatalogEngine(
             compiled.program(optimized),
             facts,
-            store=resolved_store,
-            executor=resolved_executor,
+            store=store,
+            executor=executor,
             parameters={**compiled.parameters, **(parameters or {})},
-            **engine_options,
         )
 
     def run_on_datalog_engine(
@@ -291,7 +279,6 @@ class Raqlet:
         store=None,
         executor=None,
         parameters: Optional[Mapping[str, object]] = None,
-        **engine_options,
     ) -> QueryResult:
         """Execute the compiled query on the in-repo Datalog engine.
 
@@ -300,18 +287,12 @@ class Raqlet:
         it once with the query's compile-time parameters, and closes the
         session.  Long-running callers should hold a session themselves
         (:meth:`session`) so the EDB ingest, indexes, statistics and
-        compiled plans amortise across requests.
-
-        ``engine_options`` are forwarded to :class:`DatalogEngine` — e.g.
-        ``replan_threshold`` to tune (or disable) statistics-driven
-        re-planning; ``store`` / ``executor`` select the backend exactly as
-        in :meth:`session`.
+        compiled plans amortise across requests.  ``store`` / ``executor``
+        select the backend exactly as in :meth:`session`.
         """
         from repro.session import Session
 
-        session = Session(
-            self, facts, store=store, executor=executor, **engine_options
-        )
+        session = Session(self, facts, store=store, executor=executor)
         try:
             return session.prepare(compiled, optimized=optimized).run(
                 parameters or {}
@@ -401,12 +382,8 @@ class Raqlet:
         ``datalog_store`` selects the Datalog engine's fact-store backend
         (``"memory"``, ``"sqlite"``, ``"sqlite:PATH"``) and
         ``datalog_executor`` its plan executor (``"interpreted"``,
-        ``"compiled"``); both route through
-        :func:`repro.session.resolve_execution_options` — the single place
-        where ``None`` falls back to ``REPRO_STORE`` / ``REPRO_EXECUTOR``,
-        so forwarding an unset option never shadows the environment.
-        ``parameters`` binds any late-bound ``$name`` placeholders on every
-        engine.
+        ``"compiled"``); ``None`` means memory / compiled.  ``parameters``
+        binds any late-bound ``$name`` placeholders on every engine.
         """
         results: Dict[str, QueryResult] = {}
         results["datalog"] = self.run_on_datalog_engine(

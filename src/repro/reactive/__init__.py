@@ -1,16 +1,16 @@
-"""Reactive layer: standing queries, subscriptions, rules and scheduling.
+"""Reactive layer: standing queries, subscriptions and rules.
 
 Built on the Datalog engine's incremental view maintenance: a mutation
 batch yields a :class:`~repro.engines.datalog.ivm.MaintenanceReport` of
 effective result-row changes, which this package routes to subscribers
-(:mod:`~repro.reactive.subscriptions`), trigger actions
-(:mod:`~repro.reactive.rules`) and periodic ticks
-(:mod:`~repro.reactive.scheduler`) — without ever re-running the standing
-queries.
+(:mod:`~repro.reactive.subscriptions`) and trigger actions
+(:mod:`~repro.reactive.rules`) — without ever re-running the standing
+queries.  Delivery is pushed by the write itself: a session flushes at the
+end of each mutation batch, and a shared EDB calls its serving pools'
+listeners after each effective batch.
 """
 
 from repro.reactive.rules import ActionContext, ActionRegistry, ReactiveRule
-from repro.reactive.scheduler import ReactiveScheduler, ScheduledJob
 from repro.reactive.subscriptions import (
     ReactiveCascadeError,
     ReactiveCycleError,
@@ -27,9 +27,7 @@ __all__ = [
     "ReactiveCycleError",
     "ReactiveError",
     "ReactiveRule",
-    "ReactiveScheduler",
     "ResultDelta",
-    "ScheduledJob",
     "Subscription",
     "SubscriptionManager",
 ]

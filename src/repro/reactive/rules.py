@@ -57,20 +57,12 @@ class ActionRegistry:
         self._actions[name] = fn
         return fn
 
-    def unregister(self, name: str) -> None:
-        """Drop a named action; rules bound to it fail loudly at fire time."""
-        self._actions.pop(name, None)
-
     def get(self, name: str) -> Action:
         """Resolve an action by name (``ReactiveError`` when unknown)."""
         try:
             return self._actions[name]
         except KeyError:
             raise ReactiveError(f"no registered action named {name!r}") from None
-
-    def names(self) -> List[str]:
-        """Return the registered action names, sorted."""
-        return sorted(self._actions)
 
     def __contains__(self, name: str) -> bool:
         return name in self._actions

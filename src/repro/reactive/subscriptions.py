@@ -20,8 +20,7 @@ The moving parts:
   become :class:`ResultDelta` notifications, and each live subscription's
   callback runs exactly once per committed batch.  Sessions flush
   automatically at the end of every ``insert``/``retract``/``ingest``
-  (``auto_flush``); turn it off to coalesce batches and flush manually or
-  from a :class:`~repro.reactive.scheduler.ReactiveScheduler` tick.
+  (``auto_flush``); turn it off to coalesce batches and flush manually.
 * Callbacks may themselves mutate the session (that is how
   :mod:`~repro.reactive.rules` actions cascade): the re-entrant flush is
   absorbed and the outer loop runs another round, to a bounded depth with
@@ -326,10 +325,6 @@ class SubscriptionManager:
         if not standing.subscriptions:
             self._standing.pop(standing.key, None)
             standing.close()
-
-    def subscription(self, subscription_id: int) -> Optional[Subscription]:
-        """Return a live subscription by id (``None`` when gone)."""
-        return self._subscriptions.get(subscription_id)
 
     @property
     def subscription_count(self) -> int:

@@ -10,7 +10,6 @@ followed by the edge's own properties.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -99,16 +98,6 @@ class SchemaMapping:
         """Return whether ``relation_name`` encodes a node type."""
         return relation_name in set(self.node_relation_by_label.values())
 
-    def edge_property_index(
-        self,
-        label: str,
-        property_name: str,
-        source_label: Optional[str] = None,
-        target_label: Optional[str] = None,
-    ) -> int:
-        """Return the column index of an edge property (after id1, id2)."""
-        relation = self.edge_relation(label, source_label, target_label)
-        return relation.column_index(property_name)
 
 
 def _node_relation(node_type: NodeType) -> DLRelation:

@@ -37,7 +37,8 @@ the streaming path.
 routes a ``(statement, binding)`` to a worker by the same affinity map and
 registers a standing query on that worker's session
 (:class:`~repro.reactive.subscriptions.SubscriptionManager`); every
-:meth:`mutate` then pokes the subscription-owning workers, whose sync
+effective batch on the shared EDB then pokes the subscription-owning
+workers (the pool is a :class:`SharedEDB` listener), whose sync
 flushes the session's reactive layer at the pinned shared epoch and pushes
 exact ``(added, removed)`` result deltas, stamped with that epoch, to the
 pool-level listeners — O(|delta|) per standing query, no re-execution,
@@ -52,14 +53,14 @@ import queue
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.common.errors import RaqletError
 from repro.engines.datalog.executor_compiled import ExecutorSpec, create_executor
 from repro.engines.datalog.storage import Row, StoreBackend, StoreSpec
 from repro.engines.datalog.storage_shared import SharedEDB, SnapshotView
 from repro.engines.result import QueryResult
-from repro.session import PreparedQuery, Session, detect_query_language
+from repro.session import PreparedQuery, Session, compile_query_text
 
 
 class PoolSaturatedError(RaqletError):
@@ -116,7 +117,6 @@ class _Worker:
             pool._raqlet,
             store=self.view,
             executor=pool._executor,
-            **pool._engine_options,
         )
         #: statement name -> (statement version, PreparedQuery)
         self.prepared: Dict[str, Tuple[int, PreparedQuery]] = {}
@@ -143,16 +143,13 @@ class ServingPool:
     workers:
         Worker count — the number of bindings the pool keeps warm at once.
     store:
-        Base store for the shared EDB (spec or instance; ``None`` honours
-        ``REPRO_STORE``).
+        Base store for the shared EDB (spec or instance; ``None`` means the
+        in-memory store), or a caller-owned :class:`SharedEDB`.
     executor:
-        The pool-wide rule executor (``None`` honours ``REPRO_EXECUTOR``).
+        The pool-wide rule executor (``None`` means compiled).
     max_pending:
         Admission-control bound on requests queued or executing; beyond it
         :meth:`submit` raises :class:`PoolSaturatedError`.
-    engine_options:
-        Forwarded to every worker session (``replan_threshold``, ``ivm``,
-        ...).
     """
 
     def __init__(
@@ -164,7 +161,6 @@ class ServingPool:
         store: StoreSpec = None,
         executor: ExecutorSpec = None,
         max_pending: int = 256,
-        **engine_options,
     ) -> None:
         if workers < 1:
             raise RaqletError("a serving pool needs at least one worker")
@@ -174,7 +170,6 @@ class ServingPool:
         self._owns_shared = not isinstance(store, (SharedEDB, StoreBackend))
         self._shared = store if isinstance(store, SharedEDB) else SharedEDB(store)
         self._executor = create_executor(executor)
-        self._engine_options = dict(engine_options)
         self.max_pending = max_pending
         if facts:
             self._shared.ingest(facts)
@@ -192,7 +187,6 @@ class ServingPool:
         # standing query, the pool owns the routing and the id space.
         self._subscriptions: Dict[int, Tuple["_Worker", object]] = {}
         self._subscription_seq = itertools.count(1)
-        self._ticker = None
         self.executed_count = 0
         self.coalesced_count = 0
         self.rejected_count = 0
@@ -201,6 +195,9 @@ class ServingPool:
         self._workers = [_Worker(self, index) for index in range(workers)]
         for worker in self._workers:
             worker.thread.start()
+        # Every effective batch on the shared EDB — through this pool, another
+        # pool, or a direct SharedEDB write — reaches this pool's subscribers.
+        self._shared.add_listener(self.poke)
 
     # -- shared state --------------------------------------------------------
 
@@ -222,7 +219,7 @@ class ServingPool:
     def prepare(self, name: str, query, *, language: Optional[str] = None) -> Tuple[str, ...]:
         """Register (or replace) the named prepared statement.
 
-        ``query`` is Cypher text, Datalog text, or an existing
+        ``query`` is Cypher, Datalog or SQL text, or an existing
         :class:`~repro.pipeline.CompiledQuery`.  Compilation happens once,
         here; each worker instantiates its own
         :class:`~repro.session.PreparedQuery` from the shared compiled form
@@ -230,16 +227,7 @@ class ServingPool:
         """
         self._check_open()
         if isinstance(query, str):
-            resolved = language or detect_query_language(query)
-            if resolved == "cypher":
-                compiled = self._raqlet.compile_cypher(query)
-            elif resolved == "datalog":
-                compiled = self._raqlet.compile_datalog(query)
-            else:
-                raise RaqletError(
-                    f"unknown query language {resolved!r} "
-                    "(expected 'cypher' or 'datalog')"
-                )
+            compiled = compile_query_text(self._raqlet, query, language)
         else:
             compiled = query
         program = compiled.program(True)
@@ -254,10 +242,6 @@ class ServingPool:
             self._statements[name] = statement
             self._derived_originals.update(statement.derived)
         return statement.param_names
-
-    def statements(self) -> List[str]:
-        with self._dispatch_lock:
-            return sorted(self._statements)
 
     # -- request path --------------------------------------------------------
 
@@ -355,15 +339,14 @@ class ServingPool:
 
         Single-writer (serialised inside the shared store), effective-only,
         one epoch bump for the whole batch.  Workers fold the delta into
-        their incremental maintainers on their next request.
+        their incremental maintainers on their next request; the shared
+        store's listener call pokes the subscription owners.
         """
         self._check_open()
         for relation in list(insert or ()) + list(retract or ()):
             self._check_extensional(relation)
         inserted, retracted, epoch = self._shared.apply(insert, retract)
         self.mutation_count += 1
-        if inserted or retracted:
-            self.poke()
         return {"inserted": inserted, "retracted": retracted, "epoch": epoch}
 
     def ingest(self, facts: Mapping[str, Iterable[Row]]) -> Dict[str, int]:
@@ -460,10 +443,10 @@ class ServingPool:
     def poke(self) -> int:
         """Ask every subscription-owning worker to catch up and deliver.
 
-        Called by :meth:`mutate` after each effective batch (and by the
-        optional ticker): the worker pins the current shared epoch and its
-        session's reactive layer flushes the standing queries and fires the
-        listeners.  Idempotent per epoch — a worker that is already current
+        Registered as a :class:`SharedEDB` listener, so it runs after every
+        effective batch on the shared store: the worker pins the current
+        shared epoch and its session's reactive layer flushes the standing
+        queries and fires the listeners.  Idempotent per epoch — a worker that is already current
         delivers nothing.  Returns the worker count poked.
         """
         with self._dispatch_lock:
@@ -475,18 +458,6 @@ class ServingPool:
         for worker in owners.values():
             worker.queue.put(self._notify_control(worker))
         return len(owners)
-
-    def start_ticker(self, interval: float = 0.05):
-        """Deliver notifications on a periodic tick as well as per mutation
-        (a safety net for writers that bypass :meth:`mutate`, e.g. a
-        caller-owned :class:`SharedEDB` shared with another pool)."""
-        from repro.reactive.scheduler import ReactiveScheduler
-
-        if self._ticker is None:
-            self._ticker = ReactiveScheduler()
-            self._ticker.every(interval, self.poke, name="pool-notify")
-            self._ticker.start()
-        return self._ticker
 
     def _notify_control(self, worker: "_Worker"):
         def control() -> None:
@@ -643,9 +614,7 @@ class ServingPool:
         if self._closed:
             return
         self._closed = True
-        if self._ticker is not None:
-            self._ticker.stop()
-            self._ticker = None
+        self._shared.remove_listener(self.poke)
         with self._dispatch_lock:
             self._subscriptions.clear()
         for worker in self._workers:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import re
 import time
 import zlib
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.common.errors import RaqletError
 from repro.dlir import (
@@ -71,28 +71,16 @@ ParamValues = Mapping[str, object]
 EXECUTION_ENGINES = ("auto", "datalog", "relational", "sqlite", "graph")
 
 
-def resolve_execution_options(
-    store: StoreSpec = None, executor: ExecutorSpec = None
-) -> Tuple[StoreBackend, RuleExecutor]:
-    """Resolve store/executor specifications in **one** place.
-
-    ``None`` always falls through to the ``REPRO_STORE`` / ``REPRO_EXECUTOR``
-    environment variables (then the defaults) — both :class:`Session` and the
-    one-shot ``Raqlet.run_*`` entry points route through here, so no caller
-    can accidentally shadow the environment resolution by forwarding an
-    explicit ``None``.
-    """
-    return create_store(store), create_executor(executor)
-
-
 def detect_query_language(text: str) -> str:
-    """Guess whether ``text`` is Datalog or Cypher.
+    """Guess whether ``text`` is Datalog, SQL or Cypher.
 
     Datalog is recognised by its syntax anchors — a rule turnstile
     following an atom's closing parenthesis (so a ``":-"`` inside a Cypher
     string literal does not misroute), or a ``.decl`` / ``.input`` /
-    ``.output`` directive.  Everything else is treated as Cypher; pass
-    ``language=`` to :meth:`Session.prepare` to override.
+    ``.output`` directive.  Otherwise a leading ``WITH RECURSIVE`` or
+    ``SELECT`` means SQL (checked second, so a Datalog rule whose head is a
+    relation named ``select`` stays Datalog).  Everything else is treated
+    as Cypher; pass ``language=`` to :meth:`Session.prepare` to override.
     """
     stripped = text.strip()
     if re.search(r"\)\s*:-", stripped):
@@ -102,7 +90,35 @@ def detect_query_language(text: str) -> str:
         for line in stripped.splitlines()
     ):
         return "datalog"
+    if re.match(r"(?i)(with\s+recursive|select)\b", stripped):
+        return "sql"
     return "cypher"
+
+
+#: the :class:`~repro.pipeline.Raqlet` compile method per query language
+_COMPILERS = {
+    "cypher": "compile_cypher",
+    "datalog": "compile_datalog",
+    "sql": "compile_sql",
+}
+
+
+def compile_query_text(
+    raqlet, text: str, language: Optional[str] = None, optimize: bool = True
+):
+    """Compile query ``text`` in ``language`` (detected when ``None``).
+
+    The one language dispatch behind :meth:`Session.prepare` and
+    :meth:`repro.serving.ServingPool.prepare`.
+    """
+    language = language or detect_query_language(text)
+    method = _COMPILERS.get(language)
+    if method is None:
+        raise RaqletError(
+            f"unknown query language {language!r} "
+            "(expected 'cypher', 'datalog' or 'sql')"
+        )
+    return getattr(raqlet, method)(text, optimize=optimize)
 
 
 class PreparedQuery:
@@ -164,7 +180,7 @@ class PreparedQuery:
             seed_facts or None,
             store=session.store,
             executor=session.executor,
-            **session.engine_options,
+            ivm=session._ivm,
         )
         self._idb_relations = frozenset(self._program.idb_names())
         #: the (namespaced) relation :meth:`run` returns rows of — the one
@@ -381,9 +397,11 @@ class Session:
     """A long-lived execution context over one graph.
 
     Constructed through :meth:`repro.pipeline.Raqlet.session`.  The session
-    resolves the store and executor **once** (``None`` honours
-    ``REPRO_STORE`` / ``REPRO_EXECUTOR``), ingests the extensional facts
-    once, and shares both with every query prepared or executed in it.
+    resolves the store and executor **once** (``None`` means the in-memory
+    store and the compiled executor), ingests the extensional facts once,
+    and shares both with every query prepared or executed in it.  Sessions
+    enable incremental view maintenance by default — pass ``ivm=False`` to
+    force mark-dirty + re-derive.
     """
 
     def __init__(
@@ -393,18 +411,14 @@ class Session:
         *,
         store: StoreSpec = None,
         executor: ExecutorSpec = None,
-        replan_threshold: Optional[float] = None,
         ivm: bool = True,
     ) -> None:
         self._raqlet = raqlet
         # A caller-supplied StoreBackend instance stays under the caller's
         # ownership; stores the session creates are closed by close().
         self._owns_store = not isinstance(store, StoreBackend)
-        self._store, self._executor = resolve_execution_options(store, executor)
-        #: options forwarded to every prepared query's DatalogEngine.
-        #: Sessions enable incremental view maintenance by default — pass
-        #: ``ivm=False`` to force mark-dirty + re-derive.
-        self.engine_options = {"replan_threshold": replan_threshold, "ivm": ivm}
+        self._store = create_store(store)
+        self._executor = create_executor(executor)
         self._ivm = bool(ivm)
         # The log of effective EDB row mutations; prepared and standing
         # queries consume it.  A worker session over a shared-EDB view reads
@@ -507,7 +521,7 @@ class Session:
         optimize: bool = True,
         optimized: bool = True,
     ) -> PreparedQuery:
-        """Compile ``query`` (Cypher text, Datalog text, or an existing
+        """Compile ``query`` (Cypher, Datalog or SQL text, or an existing
         :class:`~repro.pipeline.CompiledQuery`) into a :class:`PreparedQuery`.
 
         ``$name`` parameters are *not* inlined: they survive compilation as
@@ -523,15 +537,7 @@ class Session:
         cached = self._prepared.get(key)
         if cached is not None:
             return cached
-        if language == "cypher":
-            compiled = self._raqlet.compile_cypher(query, optimize=optimize)
-        elif language == "datalog":
-            compiled = self._raqlet.compile_datalog(query, optimize=optimize)
-        else:
-            raise RaqletError(
-                f"unknown query language {language!r} "
-                "(expected 'cypher' or 'datalog')"
-            )
+        compiled = compile_query_text(self._raqlet, query, language, optimize)
         prepared = PreparedQuery(self, compiled, optimized)
         self._prepared[key] = prepared
         return prepared

@@ -27,6 +27,7 @@ from repro.dlir.core import (
     Wildcard,
 )
 from repro.common.semantics import compare
+from repro.engines.datalog import planner
 from repro.engines.datalog import (
     DatalogEngine,
     FactStore,
@@ -426,7 +427,7 @@ def test_plan_cache_replans_on_drift(store):
         Atom("tc", (Var("x"), Var("y"))),
         [Atom("tc", (Var("x"), Var("z"))), Atom("edge", (Var("z"), Var("y")))],
     )
-    cache = PlanCache(replan_threshold=10)
+    cache = PlanCache()  # the default threshold, 10x
     small = {"tc": RelationStats(2, (2, 2)), "edge": RelationStats(5, (4, 4))}
     first = cache.plan_for(rule, store, delta_index=0, delta_size=2, stats=small)
     assert cache.replan_count == 0 and cache.stats_epoch == 0
@@ -457,21 +458,23 @@ def test_plan_cache_replans_on_drift(store):
     assert replanned == first
 
 
-def test_plan_cache_threshold_modes(store):
+def test_plan_cache_threshold_modes(store, monkeypatch):
     rule = _rule(Atom("q", (Var("x"),)), [Atom("node", (Var("x"),))])
     stats = {"node": RelationStats(5, (5,))}
-    frozen = PlanCache(replan_threshold=float("inf"))
+    monkeypatch.setattr(planner, "REPLAN_THRESHOLD", float("inf"))
+    frozen = PlanCache()
     plan = frozen.plan_for(rule, store, stats=stats)
     grown = {"node": RelationStats(50_000, (50_000,))}
     assert frozen.plan_for(rule, store, stats=grown) is plan
     assert frozen.replan_count == 0
-    eager = PlanCache(replan_threshold=1)
+    monkeypatch.setattr(planner, "REPLAN_THRESHOLD", 1.0)
+    eager = PlanCache()
     first = eager.plan_for(rule, store, stats=stats)
     second = eager.plan_for(rule, store, stats=stats)  # zero drift still fires
     assert second is not first
     assert eager.replan_count == 1
     # Plans without a basis (greedy fallback) never drift.
-    lazy = PlanCache(replan_threshold=1)
+    lazy = PlanCache()
     greedy = lazy.plan_for(rule, store)
     assert lazy.plan_for(rule, store, stats=stats) is greedy
     assert lazy.replan_count == 0
@@ -494,7 +497,7 @@ def test_replanned_join_orders_agree_on_results(store):
         assert planned == _as_binding_set(reference_solutions(rule, store))
 
 
-def test_engine_exposes_replan_counters():
+def test_engine_exposes_replan_counters(monkeypatch):
     builder = ProgramBuilder()
     builder.edb("edge", [("a", "number"), ("b", "number")])
     builder.idb("tc", [("a", "number"), ("b", "number")])
@@ -502,7 +505,8 @@ def test_engine_exposes_replan_counters():
     builder.rule("tc", ["x", "y"], [("tc", ["x", "z"]), ("edge", ["z", "y"])])
     builder.output("tc")
     facts = {"edge": [(i, i + 1) for i in range(40)]}
-    eager = DatalogEngine(builder.build(), facts, replan_threshold=1)
+    monkeypatch.setattr(planner, "REPLAN_THRESHOLD", 1.0)
+    eager = DatalogEngine(builder.build(), facts)
     eager.run()
     assert eager.replan_count > 0
     assert eager.stats_epoch == eager.replan_count
@@ -512,7 +516,8 @@ def test_engine_exposes_replan_counters():
     assert any(entry["delta_index"] == 0 for entry in report)
     text = eager.explain()
     assert "replans=" in text and "est_fanout=" in text
-    frozen = DatalogEngine(builder.build(), facts, replan_threshold=float("inf"))
+    monkeypatch.setattr(planner, "REPLAN_THRESHOLD", float("inf"))
+    frozen = DatalogEngine(builder.build(), facts)
     frozen.run()
     assert frozen.replan_count == 0
     assert frozen.query("tc").same_rows(eager.query("tc"))

@@ -132,17 +132,9 @@ def test_create_store_resolves_specs(tmp_path):
     file_store.close()
     existing = FactStore()
     assert create_store(existing) is existing
+    assert isinstance(create_store(None), FactStore)
     with pytest.raises(ValueError):
         create_store("redis")
-
-
-def test_create_store_honours_environment(monkeypatch):
-    monkeypatch.delenv("REPRO_STORE", raising=False)
-    assert isinstance(create_store(), FactStore)
-    monkeypatch.setenv("REPRO_STORE", "sqlite")
-    assert isinstance(create_store(), SQLiteFactStore)
-    monkeypatch.setenv("REPRO_STORE", "memory")
-    assert isinstance(create_store(), FactStore)
 
 
 def test_both_backends_implement_the_protocol():

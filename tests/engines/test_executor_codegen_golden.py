@@ -112,9 +112,8 @@ def _case_delta_nonlinear_second_position():
 
 
 def _case_negation_mid_step():
-    # The negation's variables are bound after step 0, so the batched probe
-    # (collect the level's keys, one lookup_many, filter) lands mid-plan,
-    # feeding the next step's solutions.
+    # The negation's variables are bound after step 0, so its per-row probe
+    # lands mid-plan, filtering the solutions the next step extends.
     rule = Rule(
         Atom("r", (Var("x"), Var("z"))),
         (

@@ -4,7 +4,7 @@ The differential suite (`test_store_differential.py`) proves whole-program
 equivalence across executors; these tests pin the executor's own machinery:
 closure caching, the interpreter fallback, error-behaviour parity (unsafe
 rules, delta mismatch, mixed-type comparisons, division), selection
-threading (engine option, ``REPRO_EXECUTOR``), and the batched probe path
+threading (engine option, ``None`` = compiled), and the batched probe path
 on the SQLite store.
 """
 
@@ -72,10 +72,10 @@ def test_join_negation_and_guard_agree(store):
 
 
 def test_later_negation_with_raising_key_is_not_batched(store):
-    """A later negation whose key uses arithmetic must not be pre-evaluated
-    for rows an earlier negation rejects: the interpreter rejects (2, 0) at
-    ``!a(x)`` and never computes ``10 / y``, so eager level-wide key
-    collection would raise a division-by-zero the interpreter doesn't."""
+    """A later negation whose key uses arithmetic is never evaluated for
+    rows an earlier negation rejects: the interpreter rejects (2, 0) at
+    ``!a(x)`` and never computes ``10 / y``, and the compiled per-row probes
+    must not raise a division-by-zero the interpreter doesn't."""
     store.add_many("p", [(1, 2), (2, 0)])
     store.add_many("a", [(2,)])
     rule = Rule(
@@ -261,15 +261,12 @@ def test_uncompilable_plan_falls_back_to_the_interpreter(store):
 # -- selection threading -----------------------------------------------------
 
 
-def test_create_executor_resolution(monkeypatch):
+def test_create_executor_resolution():
     assert create_executor("interpreted").name == "interpreted"
     assert create_executor("compiled").name == "compiled"
     existing = CompiledExecutor()
     assert create_executor(existing) is existing
-    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
     assert create_executor(None).name == "compiled"
-    monkeypatch.setenv("REPRO_EXECUTOR", "interpreted")
-    assert create_executor(None).name == "interpreted"
     with pytest.raises(ValueError):
         create_executor("bytecode")
 
@@ -287,7 +284,7 @@ def _tc_program():
 TC_FACTS = {"edge": [(0, 1), (1, 2), (2, 3), (3, 1)]}
 
 
-def test_engine_threads_executor_selection(monkeypatch):
+def test_engine_threads_executor_selection():
     compiled_engine = DatalogEngine(_tc_program(), TC_FACTS, executor="compiled")
     interpreted_engine = DatalogEngine(
         _tc_program(), TC_FACTS, executor="interpreted"
@@ -296,9 +293,8 @@ def test_engine_threads_executor_selection(monkeypatch):
     assert isinstance(interpreted_engine.executor, InterpretedExecutor)
     assert compiled_engine.query("tc").same_rows(interpreted_engine.query("tc"))
 
-    monkeypatch.setenv("REPRO_EXECUTOR", "interpreted")
-    env_engine = DatalogEngine(_tc_program(), TC_FACTS)
-    assert env_engine.executor.name == "interpreted"
+    default_engine = DatalogEngine(_tc_program(), TC_FACTS)
+    assert default_engine.executor.name == "compiled"
 
 
 def test_compiled_executor_batches_probes_on_sqlite():

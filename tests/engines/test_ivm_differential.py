@@ -6,7 +6,8 @@ steps.  After **every** mutation the incrementally maintained store must be
 set-equal — on every IDB relation — to a from-scratch re-derivation oracle
 (:func:`tests.engines.test_store_differential.naive_evaluate`) of the
 mutated EDB, across {interpreted, compiled, columnar} × {memory, sqlite}
-(the columnar leg joins whenever NumPy is importable).  The
+(the columnar leg joins whenever NumPy is importable), once at the default
+re-plan threshold and once re-planning on every drift check.  The
 engine counters prove the property is not vacuous: every generated program
 is maintainable, so ``full_rederive_count`` must stay 0 and
 ``maintain_count`` must equal the number of applied mutations — the
@@ -28,7 +29,7 @@ import pytest
 
 from repro import Raqlet
 from repro.dlir.builder import ProgramBuilder
-from repro.engines.datalog import DatalogEngine
+from repro.engines.datalog import DatalogEngine, planner
 
 from tests.engines.test_store_differential import (
     COMBINATIONS,
@@ -39,6 +40,7 @@ from tests.engines.test_store_differential import (
 #: ≥ 30 seeds, each mutated MUTATION_STEPS times on every executor × store combo
 SEEDS = range(32)
 MUTATION_STEPS = 12
+STORES = ("memory", "sqlite")
 
 
 def _mutation_script(seed, initial_edges, nodes=8):
@@ -69,6 +71,17 @@ def _mutation_script(seed, initial_edges, nodes=8):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mutation_sequence_matches_rederivation_oracle(seed):
+    _replay_against_oracle(seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mutation_sequence_under_always_replanning(seed, monkeypatch):
+    """Every maintenance pass and delta rule rides freshly rebuilt plans."""
+    monkeypatch.setattr(planner, "REPLAN_THRESHOLD", 1.0)
+    _replay_against_oracle(seed)
+
+
+def _replay_against_oracle(seed):
     program, facts, idbs = _random_case(seed)
     script = _mutation_script(seed, facts["edge"])
     for executor, store in COMBINATIONS:
@@ -124,7 +137,12 @@ def test_maintenance_report_equals_snapshot_diff(seed):
     """
     program, facts, idbs = _random_case(seed)
     script = _mutation_script(seed, facts["edge"])
-    engine = DatalogEngine(program, facts, ivm=True)
+    for store in STORES:
+        _check_reports_against_snapshots(program, facts, idbs, script, store)
+
+
+def _check_reports_against_snapshots(program, facts, idbs, script, store):
+    engine = DatalogEngine(program, facts, store=store, ivm=True)
     engine.run()
     for step, (action, row) in enumerate(script):
         before = {relation: set(engine.store.scan(relation)) for relation in idbs}
@@ -139,12 +157,12 @@ def test_maintenance_report_equals_snapshot_diff(seed):
             added, removed = report.relation_delta(relation)
             after = set(engine.store.scan(relation))
             assert added == after - before[relation], (
-                f"seed {seed} step {step} ({action} {row}): report added "
+                f"{store} step {step} ({action} {row}): report added "
                 f"{added} but the store gained {after - before[relation]} "
                 f"on {relation!r}"
             )
             assert removed == before[relation] - after, (
-                f"seed {seed} step {step} ({action} {row}): report removed "
+                f"{store} step {step} ({action} {row}): report removed "
                 f"{removed} but the store lost {before[relation] - after} "
                 f"on {relation!r}"
             )
@@ -161,27 +179,27 @@ def test_fallback_report_equals_snapshot_diff(seed, monkeypatch):
     report the same exact delta a successful pass would have."""
     from repro.engines.datalog import ivm
 
-    program, facts, idbs = _random_case(seed)
-    engine = DatalogEngine(program, facts, ivm=True)
-    engine.run()
-
     def explode(self, added, removed):
         raise RuntimeError("forced maintenance failure")
 
     monkeypatch.setattr(ivm.IncrementalMaintainer, "maintain", explode)
-    before = {relation: set(engine.store.scan(relation)) for relation in idbs}
-    row = (0, 1)
-    fresh = engine.store.add("edge", row)
-    report = engine.maintain({"edge": {row}} if fresh else {}, {})
-    assert report.full_rederive
-    assert engine.full_rederive_count == 1
-    assert engine.maintain_count == 0
-    for relation in idbs:
-        added, removed = report.relation_delta(relation)
-        after = set(engine.store.scan(relation))
-        assert added == after - before[relation]
-        assert removed == before[relation] - after
-    engine.store.close()
+    program, facts, idbs = _random_case(seed)
+    for store in STORES:
+        engine = DatalogEngine(program, facts, store=store, ivm=True)
+        engine.run()
+        before = {relation: set(engine.store.scan(relation)) for relation in idbs}
+        row = (0, 1)
+        fresh = engine.store.add("edge", row)
+        report = engine.maintain({"edge": {row}} if fresh else {}, {})
+        assert report.full_rederive
+        assert engine.full_rederive_count == 1
+        assert engine.maintain_count == 0
+        for relation in idbs:
+            added, removed = report.relation_delta(relation)
+            after = set(engine.store.scan(relation))
+            assert added == after - before[relation]
+            assert removed == before[relation] - after
+        engine.store.close()
 
 
 def test_corpus_covers_negation_and_aggregates():

@@ -9,6 +9,8 @@ engine's ``plan_build_count`` and the session's ``ingest_count``.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro import Raqlet
@@ -60,14 +62,8 @@ def test_rebinding_is_free_of_rebuilds(raqlet, store, executor):
     """Different bindings on one PreparedQuery: zero re-ingest, zero index
     rebuilds, zero plan recompiles, and stats snapshots grow by the same
     amount each warm run (no hidden extra work).
-
-    The re-plan threshold is pinned to the default: the always-replan
-    stress configuration (REPRO_REPLAN_THRESHOLD=1) rebuilds plans every
-    snapshot by design, which is exactly what this test must not measure.
     """
-    with raqlet.session(
-        FACTS, store=store, executor=executor, replan_threshold=10
-    ) as session:
+    with raqlet.session(FACTS, store=store, executor=executor) as session:
         prepared = session.prepare(CITY_QUERY)
         assert prepared.param_names == ("personId",)
         first = prepared.run(personId=42)
@@ -414,10 +410,38 @@ def test_language_detection_ignores_turnstile_in_strings(raqlet):
     assert detect_query_language(cypher) == "cypher"
     assert detect_query_language("p(a) :- q(a).") == "datalog"
     assert detect_query_language(".decl p(a:number)\np(1).") == "datalog"
+    # A Datalog head named like a SQL keyword is still Datalog.
+    assert detect_query_language("select(x) :- p(x).") == "datalog"
+    assert detect_query_language("SELECT(x) :- p(x).") == "datalog"
+    assert detect_query_language("SELECT id FROM person") == "sql"
     with raqlet.session(FACTS) as session:
         # Must compile as Cypher (no Datalog parse error).
         result = session.execute(cypher)
         assert result.rows == []
+
+
+SQL_CORPUS = sorted(
+    (Path(__file__).resolve().parents[2] / "bench" / "corpus").glob("*.sql")
+)
+
+
+@pytest.mark.parametrize("path", SQL_CORPUS, ids=lambda path: path.stem)
+def test_sql_text_prepares_on_session_and_pool(snb_raqlet, snb_data, path):
+    """SQL text reaches a session and the pool through the one language
+    dispatch: detected from its leading keyword or named explicitly, it
+    answers exactly what compile_sql plus prepare(compiled) answers."""
+    from repro.serving import ServingPool
+    from repro.session import detect_query_language
+
+    text = path.read_text()
+    assert detect_query_language(text) == "sql"
+    with snb_raqlet.session(snb_data.facts) as session:
+        expected = session.prepare(snb_raqlet.compile_sql(text)).run().row_set()
+        assert session.prepare(text).run().row_set() == expected
+        assert session.prepare(text, language="sql").run().row_set() == expected
+    with ServingPool(snb_raqlet, snb_data.facts, workers=1) as pool:
+        pool.prepare("q", text)
+        assert pool.run("q").row_set() == expected
 
 
 def test_mutating_the_original_name_of_a_derived_relation_is_rejected(raqlet):

@@ -28,7 +28,7 @@ from repro.dlir.core import (
     Rule,
     bind_parameters,
 )
-from repro.engines.datalog import DatalogEngine
+from repro.engines.datalog import DatalogEngine, planner
 
 from tests.engines.test_store_differential import COMBINATIONS, _random_case
 
@@ -100,7 +100,8 @@ def _bindings_under_test(baseline):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_prepared_engine_matches_fresh_compiles_per_binding(seed):
+def test_prepared_engine_matches_fresh_compiles_per_binding(seed, monkeypatch):
+    monkeypatch.setattr(planner, "REPLAN_THRESHOLD", float("inf"))
     program, facts, idbs = _random_case(seed)
     parameterised, baseline = _parameterize(program)
     for executor, store in COMBINATIONS:
@@ -108,11 +109,7 @@ def test_prepared_engine_matches_fresh_compiles_per_binding(seed):
         # independent"; adaptive re-planning across bindings is legitimate
         # but would make the flat-counter assertion vacuous.
         engine = DatalogEngine(
-            parameterised,
-            facts,
-            store=store,
-            executor=executor,
-            replan_threshold=float("inf"),
+            parameterised, facts, store=store, executor=executor
         )
         plan_builds = index_builds = None
         for binding in _bindings_under_test(baseline):

@@ -11,6 +11,8 @@ model set, with the stats checked both mid-sequence and at the end.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,8 +22,9 @@ from repro.engines.datalog.statistics import (
     StatsAccumulator,
     compute_stats,
     drift_ratio,
-    resolve_replan_threshold,
 )
+from repro.engines.datalog import planner
+from repro.engines.datalog.planner import PlanCache
 from repro.engines.datalog.storage import FactStore
 from repro.engines.datalog.storage_sqlite import SQLiteFactStore
 
@@ -135,15 +138,14 @@ def test_drift_ratio_and_threshold_resolution(monkeypatch):
     assert drift_ratio(9, 0) == 10.0
     assert drift_ratio(0, 9) == 10.0
     assert drift_ratio(5, 5) == 1.0
-    monkeypatch.delenv("REPRO_REPLAN_THRESHOLD", raising=False)
-    assert resolve_replan_threshold() == 10.0
-    monkeypatch.setenv("REPRO_REPLAN_THRESHOLD", "1")
-    assert resolve_replan_threshold() == 1.0
-    monkeypatch.setenv("REPRO_REPLAN_THRESHOLD", "inf")
-    assert resolve_replan_threshold() == float("inf")
-    assert resolve_replan_threshold(3.5) == 3.5  # explicit beats env
-    with pytest.raises(ValueError):
-        resolve_replan_threshold(0.5)
+    assert planner.REPLAN_THRESHOLD == 10.0
+    # The cache reads the constant at each drift check, so a test can
+    # force "always re-plan" by patching it.
+    cache = PlanCache()
+    plan = SimpleNamespace(stats_basis=(("r", 5),))  # all drifted() reads
+    assert not cache.drifted(plan, {"r": RelationStats(5, (5,))})
+    monkeypatch.setattr(planner, "REPLAN_THRESHOLD", 1.0)
+    assert cache.drifted(plan, {"r": RelationStats(5, (5,))})
 
 
 def test_sqlite_stats_cache_invalidates_on_writes():

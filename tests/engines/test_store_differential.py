@@ -35,7 +35,7 @@ from repro.dlir.core import (
     Var,
     Wildcard,
 )
-from repro.engines.datalog import DatalogEngine
+from repro.engines.datalog import DatalogEngine, planner
 
 Facts = Dict[str, Set[Tuple]]
 Bindings = Dict[str, object]
@@ -418,19 +418,18 @@ def test_columnar_corpus_coverage(seed):
 
 
 @pytest.mark.parametrize("seed", range(50))
-def test_always_replanning_never_changes_results(seed):
-    """The adaptive-planning stress leg: ``replan_threshold=1`` forces every
+def test_always_replanning_never_changes_results(seed, monkeypatch):
+    """The adaptive-planning stress leg: a re-plan threshold of 1 forces every
     drift check to fire, so each fixpoint iteration rebuilds every rule's
     plan against the iteration's statistics snapshot.  Join orders may move
     mid-fixpoint and compiled closures regenerate — the results must still
     match the oracle fact-for-fact on every executor × store combination.
     """
+    monkeypatch.setattr(planner, "REPLAN_THRESHOLD", 1.0)
     program, facts, idbs = _random_case(seed)
     oracle = naive_evaluate(program, facts)
     for executor, store in COMBINATIONS:
-        engine = DatalogEngine(
-            program, facts, store=store, executor=executor, replan_threshold=1
-        )
+        engine = DatalogEngine(program, facts, store=store, executor=executor)
         engine.run()
         for relation in idbs:
             expected = oracle.get(relation, set())

@@ -176,10 +176,7 @@ def test_cli_ldbc_runs_all_engines(capsys):
     assert "engines agree: True" in captured.out
 
 
-def test_cli_ldbc_repeat_warm_path(capsys, monkeypatch):
-    # Pin the default re-plan threshold: the always-replan stress leg
-    # rebuilds plans on purpose, which would falsify plan_builds=1.
-    monkeypatch.delenv("REPRO_REPLAN_THRESHOLD", raising=False)
+def test_cli_ldbc_repeat_warm_path(capsys):
     exit_code = main(
         ["ldbc", "--query", "sq1", "--scale", "40", "--repeat", "3", "--explain"]
     )

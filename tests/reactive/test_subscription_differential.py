@@ -14,7 +14,8 @@ or no delivery at all when the diff is empty.  The script mixes
 maintainable batches with bulk ``ingest`` steps (the delta-log sentinel
 that forces the snapshot/diff re-derivation fallback), so both the
 incremental path and the fallback path are held to the same bar, on every
-executor × store combination.
+executor × store combination — once at the default re-plan threshold and
+once re-planning on every drift check.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.engines.datalog import planner
 from repro.pipeline import Raqlet
 
 from tests.engines.test_store_differential import (
@@ -69,6 +71,18 @@ def _mutation_script(rng: random.Random, nodes: int):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_subscription_deltas_match_full_rediff_oracle(seed):
+    _replay_against_oracle(seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_subscription_deltas_under_always_replanning(seed, monkeypatch):
+    """Every maintenance pass and subscription delta rides freshly rebuilt
+    plans."""
+    monkeypatch.setattr(planner, "REPLAN_THRESHOLD", 1.0)
+    _replay_against_oracle(seed)
+
+
+def _replay_against_oracle(seed):
     program, facts, idbs = _random_case(seed)
     raqlet = Raqlet(SCHEMA)
     for executor, store in COMBINATIONS:

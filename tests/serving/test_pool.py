@@ -100,8 +100,8 @@ def test_every_worker_answers_identically(raqlet):
 # -- mutations: snapshot isolation + O(|delta|) maintenance ------------------
 
 
-def test_mutations_are_seen_by_later_runs(raqlet):
-    with ServingPool(raqlet, FACTS, workers=2) as pool:
+def test_mutations_are_seen_by_later_runs(raqlet, store=None):
+    with ServingPool(raqlet, FACTS, workers=2, store=store) as pool:
         pool.prepare("reach", REACH_QUERY)
         before = pool.run("reach", personId=44).row_set()
         assert before == {(45,)}
@@ -114,11 +114,11 @@ def test_mutations_are_seen_by_later_runs(raqlet):
         assert pool.run("reach", personId=44).row_set() == before
 
 
-def test_streaming_mutations_maintain_incrementally(raqlet):
+def test_streaming_mutations_maintain_incrementally(raqlet, store=None):
     """The serving acceptance bar: a mutate/run stream on a warm binding
     goes through IVM on every step — zero full re-derivations."""
     facts = {name: list(rows) for name, rows in FACTS.items()}
-    with ServingPool(raqlet, facts, workers=2) as pool:
+    with ServingPool(raqlet, facts, workers=2, store=store) as pool:
         pool.prepare("reach", REACH_QUERY)
         oracle_facts = {name: list(rows) for name, rows in FACTS.items()}
         assert pool.run("reach", personId=42).row_set() == _oracle(
@@ -316,7 +316,7 @@ def test_pool_over_caller_supplied_shared_edb(raqlet):
         shared.close()
 
 
-def test_concurrent_clients_hammer_one_pool(raqlet):
+def test_concurrent_clients_hammer_one_pool(raqlet, store=None):
     """Many client threads, mixed statements and bindings: every single
     response equals the oracle for its binding."""
     oracles = {
@@ -324,7 +324,9 @@ def test_concurrent_clients_hammer_one_pool(raqlet):
         for pid in (42, 43, 44, 45)
     }
     errors = []
-    with ServingPool(raqlet, FACTS, workers=4, max_pending=256) as pool:
+    with ServingPool(
+        raqlet, FACTS, workers=4, max_pending=256, store=store
+    ) as pool:
         pool.prepare("reach", REACH_QUERY)
 
         def client(seed):
@@ -372,8 +374,8 @@ class _Listener:
             return list(self.events)
 
 
-def test_subscribe_delivers_deltas_on_mutate(raqlet):
-    with ServingPool(raqlet, FACTS, workers=2) as pool:
+def test_subscribe_delivers_deltas_on_mutate(raqlet, store=None):
+    with ServingPool(raqlet, FACTS, workers=2, store=store) as pool:
         pool.prepare("reach", REACH_QUERY)
         listener = _Listener()
         sid = pool.subscribe("reach", listener, personId=44)
@@ -394,10 +396,10 @@ def test_subscribe_delivers_deltas_on_mutate(raqlet):
         assert pool.stats()["full_rederive_count"] == 0
 
 
-def test_subscription_is_exactly_once_with_query_traffic(raqlet):
+def test_subscription_is_exactly_once_with_query_traffic(raqlet, store=None):
     """A run request on the owning worker syncs (and delivers) first; the
     mutation's own poke must not deliver the same epoch again."""
-    with ServingPool(raqlet, FACTS, workers=1) as pool:
+    with ServingPool(raqlet, FACTS, workers=1, store=store) as pool:
         pool.prepare("reach", REACH_QUERY)
         listener = _Listener()
         pool.subscribe("reach", listener, personId=44)
@@ -459,20 +461,59 @@ def test_subscribe_unknown_statement_rejected(raqlet):
             pool.subscribe("missing", lambda *a: None)
 
 
-def test_ticker_delivers_for_external_writers(raqlet):
-    """A writer that bypasses pool.mutate (caller-owned SharedEDB) never
-    pokes; the periodic ticker is the delivery path."""
-    shared = SharedEDB()
+def test_shared_edb_pushes_external_writes_to_subscribers(raqlet, store=None):
+    """Writes that bypass the subscriber's pool — through another pool over
+    the same SharedEDB, or straight on the caller-owned SharedEDB — each
+    notify the subscriber exactly once, and a closed pool leaves no
+    listener behind."""
+    shared = SharedEDB(store)
     shared.ingest(FACTS)
-    pool = ServingPool(Raqlet(SCHEMA), workers=1, store=shared)
+    writer = ServingPool(raqlet, workers=1, store=shared)
+    reader = ServingPool(Raqlet(SCHEMA), workers=1, store=shared)
     try:
-        pool.prepare("reach", REACH_QUERY)
+        reader.prepare("reach", REACH_QUERY)
         listener = _Listener()
-        pool.subscribe("reach", listener, personId=44)
-        pool.start_ticker(interval=0.01)
-        shared.insert("Person_KNOWS_Person", [(45, 42, 9)])  # external
+        reader.subscribe("reach", listener, personId=44)
+        writer.mutate(insert={"Person_KNOWS_Person": [(45, 43, 9)]})
         (event,) = listener.wait_for(1)
-        assert set(event[2].added) == {(42,), (43,), (44,)}
+        assert set(event[2].added) == {(43,), (44,)}
+        shared.insert("Person_KNOWS_Person", [(43, 42, 10)])  # direct write
+        events = listener.wait_for(2)
+        assert set(events[1][2].added) == {(42,)}
+        # A request queues behind any further poke on the reader's worker.
+        assert reader.run("reach", personId=44).row_set() == {
+            (42,), (43,), (44,), (45,)
+        }
+        assert len(listener.snapshot()) == 2
+        assert shared._listeners == [writer.poke, reader.poke]
+        reader.close()
+        assert shared._listeners == [writer.poke]
+        writer.close()
+        assert shared._listeners == []
     finally:
-        pool.close()
+        reader.close()
+        writer.close()
         shared.close()
+
+
+# -- the same claims over a SQLite base --------------------------------------
+
+# SQLite's single connection cannot serve concurrent readers, so the shared
+# EDB serialises every base read through one mutex.  The tests above run on
+# the in-memory base (which needs none); these rerun the mutation,
+# concurrency and subscription paths through that mutex.
+SQLITE_BASE_CHECKS = [
+    test_mutations_are_seen_by_later_runs,
+    test_streaming_mutations_maintain_incrementally,
+    test_concurrent_clients_hammer_one_pool,
+    test_subscribe_delivers_deltas_on_mutate,
+    test_subscription_is_exactly_once_with_query_traffic,
+    test_shared_edb_pushes_external_writes_to_subscribers,
+]
+
+
+@pytest.mark.parametrize(
+    "check", SQLITE_BASE_CHECKS, ids=[check.__name__[5:] for check in SQLITE_BASE_CHECKS]
+)
+def test_sqlite_base(raqlet, check):
+    check(raqlet, store="sqlite")

@@ -236,6 +236,16 @@ def test_subscribe_mutate_notify_unsubscribe(pool):
     _with_server(pool, scenario)
 
 
+def test_subscribe_mutate_notify_over_sqlite_base():
+    """The same round trip with the shared EDB on SQLite, whose base reads
+    the shared store serialises through one mutex."""
+    pool = ServingPool(Raqlet(SCHEMA), FACTS, workers=2, store="sqlite")
+    try:
+        test_subscribe_mutate_notify_unsubscribe(pool)
+    finally:
+        pool.close()
+
+
 def test_subscribe_validation_errors(pool):
     async def scenario(server, client):
         bad = await client.request({"op": "subscribe"})
