@@ -19,22 +19,36 @@ existing stratification analysis:
   is still supported by the surviving database, then run a semi-naive
   insertion fixpoint for the additions.
 
-Both strategies share one *candidate-then-verify* core.  Candidates are
-generated by evaluating each rule with the changed rows as a semi-naive
-delta at one body position (the delta-variant rules reuse the engine's
+Both strategies run against the **union state** (old ∪ new — the
+maintainer re-adds retracted rows for the duration of the pass), in which
+the new state is the store minus the rows pending removal and the old
+state the store minus the rows just added; a
+:class:`~repro.engines.datalog.storage.StateView` reads either side.  Rule
+applications are mostly semi-naive delta rules — the changed rows pinned at
+one body position — and every one is planned once through the engine's
 :class:`~repro.engines.datalog.planner.PlanCache`, so maintenance plans
-are built once and participate in adaptive re-planning).  Negation flips
-are caught by *positivised* rule variants: the negated atom is appended as
-a positive delta atom over the negated relation's changed rows.  Because
-candidate generation runs against the **union state** (old ∪ new — the
-maintainer re-adds retracted rows for the duration of the pass), every
-affected solution is found; each candidate is then verified *exactly*
-against the old and the new state via per-row delta-set membership, which
-filters the overestimate back down to the true change.
+are reused on every mutation and take part in adaptive re-planning.
+Negation flips are caught by *positivised* rule variants: the negated atom
+is appended as a positive delta atom over the negated relation's changed
+rows.
+
+* Counting and DRed's insertion phase enumerate *candidate* bindings over
+  the union state and verify each one exactly against the old and the
+  new state by per-row delta-set membership.
+* DRed's over-deletion and re-derivation need head rows only, so they run
+  on the engine's rule executor.  Over-deletion evaluates the delta
+  variants over the union store.  Re-derivation is one **rescue rule** per
+  rule, ``H(h̄) :- H(h̄), body``, built once: evaluated over the new state
+  with the over-deleted rows of ``H`` as the delta at position 0, it
+  returns exactly the rows the body still derives — one executor call per
+  rule per rescue round.  A rule with a computed head has no rescue rule;
+  it is evaluated whole over the new state and intersected with the
+  over-deleted rows.  The columnar executor cannot read a view, so under
+  it these plans run on a compiled executor of the maintainer's own.
 
 Aggregate rules (always non-recursive after stratification) are maintained
-by re-evaluating just the affected rule at the new state and diffing its
-output set against the previous one.
+by evaluating just the affected rule on the executor over the new state and
+diffing its output set against the previous one.
 
 Programs the maintainer cannot handle — min/max subsumption, an aggregate
 inside a recursive stratum — and any unexpected runtime error fall back
@@ -60,14 +74,14 @@ from repro.dlir.core import (
     Var,
     Wildcard,
 )
+from repro.engines.datalog.executor_compiled import CompiledExecutor
 from repro.engines.datalog.evaluation import (
     Bindings,
-    aggregate_solutions,
     evaluate_term,
     rule_solutions,
 )
 from repro.engines.datalog.statistics import RelationStats
-from repro.engines.datalog.storage import DeltaView
+from repro.engines.datalog.storage import DeltaView, StateView
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us lazily)
     from repro.engines.datalog.engine import DatalogEngine
@@ -77,8 +91,7 @@ RowSet = Set[Row]
 Delta = Dict[str, RowSet]
 DeltaInput = Mapping[str, RowSet]
 
-#: prefix of maintenance-internal variables (freshened wildcards); stripped
-#: from solution bindings before they reach aggregate computation
+#: prefix of maintenance-internal variables (freshened wildcards)
 FRESH_PREFIX = "__ivm_"
 
 _EMPTY: RowSet = frozenset()
@@ -288,6 +301,19 @@ class _RuleInfo:
                         negation.atom.relation,
                     )
                 )
+        #: DRed's re-derivation rule ``H(h̄) :- H(h̄), body``: run with the
+        #: over-deleted rows of ``H`` as the delta at position 0, it returns
+        #: those the body still derives.  ``None`` for a computed head,
+        #: whose rows cannot be matched back to a binding.
+        self.rescue_rule: Optional[Rule] = None
+        head = self.fresh_rule.head
+        if not self.is_aggregate and all(
+            isinstance(term, (Var, Const, Param)) for term in head.terms
+        ):
+            self.rescue_rule = Rule(
+                head=head,
+                body=(Atom(head.relation, head.terms),) + self.fresh_rule.body,
+            )
 
     def head_row(self, binding: Bindings) -> Row:
         """Project one verified solution onto the head tuple."""
@@ -342,6 +368,11 @@ class IncrementalMaintainer:
     def __init__(self, engine: "DatalogEngine") -> None:
         self._engine = engine
         self._store = engine.store
+        # The columnar executor keeps encoded copies of whole stored
+        # relations, which a StateView cannot serve: maintenance plans run
+        # on a compiled executor of the maintainer's own instead.
+        executor = engine.executor
+        self._executor = CompiledExecutor() if executor.name == "columnar" else executor
         program = engine._program
         self.counts = CountSidecar()
         self.unmaintainable_reason: Optional[str] = None
@@ -408,9 +439,10 @@ class IncrementalMaintainer:
         """Recompute counts and aggregate snapshots from the current store.
 
         Called right after a full derivation, when the store holds exactly
-        the derived state, so solution enumeration is exact.  Runs with
-        throwaway plans (``plan=None``) on purpose: priming must not move
-        the engine's ``plan_build_count``, which the warm-path tests pin.
+        the derived state, so solution enumeration is exact.  Counting
+        enumerates with throwaway plans (``plan=None``) on purpose: priming
+        must not move the engine's ``plan_build_count``, which the warm-path
+        tests pin.  Aggregate rules reuse the plans the derivation cached.
         """
         if not self.maintainable:
             return
@@ -426,7 +458,9 @@ class IncrementalMaintainer:
             for info in stratum.infos:
                 relation = info.rule.head.relation
                 if info.is_aggregate:
-                    output = self._aggregate_output(info, verify_new=False)
+                    # An aggregate rule's output is diffed whole: run it as the
+                    # full derivation does.
+                    output = self._derive(info.rule, store, None)
                     self._agg_output[info.index] = output
                     for row in output:
                         self.counts.adjust(relation, row, 1)
@@ -495,6 +529,11 @@ class IncrementalMaintainer:
         store = self._store
         self._add_delta = add_delta
         self._del_delta = del_delta
+        # The store holds the union state, so a row is in the OLD state
+        # unless it was just added, and in the NEW state unless it is
+        # pending removal.  ``_states[old]`` reads either; both views read
+        # the delta sets live.
+        self._states = (StateView(store, del_delta), StateView(store, add_delta))
         # Rollback bookkeeping.  The pass's only physical store writes are
         # (a) the union re-adds below, (b) effective IDB adds — every one
         # recorded in _add_delta — and (c) the final deferred-removal
@@ -580,16 +619,8 @@ class IncrementalMaintainer:
 
     # -- state membership (old vs new) -------------------------------------
 
-    def _excluded(self, old: bool) -> Delta:
-        # The store holds the union state, so a row is in the OLD state
-        # unless it was just added, and in the NEW state unless it is
-        # pending removal.
-        return self._add_delta if old else self._del_delta
-
     def _present(self, relation: str, row: Row, old: bool) -> bool:
-        if row in self._excluded(old).get(relation, _EMPTY):
-            return False
-        return self._store.contains(relation, row)
+        return self._states[old].contains(relation, row)
 
     def _exists(self, atom: Atom, binding: Bindings, old: bool) -> bool:
         """Existential check: does any row match the atom's bound pattern?"""
@@ -602,11 +633,7 @@ class IncrementalMaintainer:
                 continue  # wildcard or unbound (existential) position
             positions.append(index)
             key.append(value)
-        rows = self._store.lookup(atom.relation, positions, tuple(key))
-        excluded = self._excluded(old).get(atom.relation)
-        if not excluded:
-            return len(rows) > 0
-        return any(tuple(row) not in excluded for row in rows)
+        return bool(self._states[old].lookup(atom.relation, positions, tuple(key)))
 
     def _atom_holds(self, atom: Atom, binding: Bindings, old: bool) -> bool:
         values = []
@@ -643,24 +670,28 @@ class IncrementalMaintainer:
             relation, _EMPTY
         )
 
-    def _solutions(
+    def _delta_variants(
         self,
-        rule: Rule,
-        delta_index: int,
-        delta_rows: RowSet,
-        stats: Optional[Dict[str, RelationStats]],
-    ) -> Iterator[Bindings]:
-        """Evaluate one delta-variant rule through the engine's plan cache."""
-        view = DeltaView(delta_rows)
-        plan = self._engine._plan(rule, delta_index, len(view), stats=stats)
-        return rule_solutions(
-            rule,
-            self._store,
-            delta_index,
-            view,
-            plan=plan,
-            params=self._engine.parameters,
-        )
+        info: _RuleInfo,
+        pos_delta: Mapping[str, RowSet],
+        neg_delta: Mapping[str, RowSet],
+    ) -> Iterator[Tuple[Rule, int, RowSet]]:
+        """Yield ``(rule, delta position, delta rows)`` for every rule
+        application that may find a changed solution.
+
+        One per positive body position whose relation is in ``pos_delta``,
+        plus one per positivised negation variant whose negated relation is
+        in ``neg_delta``.  Complete over the union state; duplicates and
+        false positives are the caller's to filter.
+        """
+        for position, atom in enumerate(info.positive_atoms):
+            rows = pos_delta.get(atom.relation)
+            if rows:
+                yield info.cand_rule, position, rows
+        for variant, position, negated_relation in info.variants:
+            rows = neg_delta.get(negated_relation)
+            if rows:
+                yield variant, position, rows
 
     def _candidate_solutions(
         self,
@@ -669,21 +700,43 @@ class IncrementalMaintainer:
         neg_delta: Mapping[str, RowSet],
         stats: Optional[Dict[str, RelationStats]],
     ) -> Iterator[Bindings]:
-        """Yield every solution that may have changed state.
+        """Yield the bindings of every delta variant, through the engine's
+        plan cache."""
+        for rule, position, rows in self._delta_variants(info, pos_delta, neg_delta):
+            view = DeltaView(rows)
+            plan = self._engine._plan(rule, position, len(view), stats=stats)
+            yield from rule_solutions(
+                rule,
+                self._store,
+                position,
+                view,
+                plan=plan,
+                params=self._engine.parameters,
+            )
 
-        One semi-naive pass per positive body position whose relation is in
-        ``pos_delta``, plus one per positivised negation variant whose
-        negated relation is in ``neg_delta``.  Complete over the union
-        state; duplicates and false positives are the caller's to filter.
-        """
-        for position, atom in enumerate(info.positive_atoms):
-            rows = pos_delta.get(atom.relation)
-            if rows:
-                yield from self._solutions(info.cand_rule, position, rows, stats)
-        for variant, position, negated_relation in info.variants:
-            rows = neg_delta.get(negated_relation)
-            if rows:
-                yield from self._solutions(variant, position, rows, stats)
+    def _derive(
+        self,
+        rule: Rule,
+        state,
+        stats: Optional[Dict[str, RelationStats]],
+        delta_index: Optional[int] = None,
+        delta_rows: Optional[RowSet] = None,
+    ) -> RowSet:
+        """Run one rule application on the executor over ``state`` (the
+        union store or a :class:`StateView`), its plan from the engine's
+        plan cache; return the derived head rows."""
+        view = DeltaView(delta_rows) if delta_rows is not None else None
+        plan = self._engine._plan(
+            rule, delta_index, len(view) if view is not None else 0, stats=stats
+        )
+        return self._executor.evaluate_rule(
+            rule,
+            state,
+            delta_index,
+            view,
+            plan=plan,
+            params=self._engine.parameters,
+        )
 
     # -- counting maintenance (non-recursive strata) -----------------------
 
@@ -701,7 +754,7 @@ class IncrementalMaintainer:
                     name in changed for name in info.rule.referenced_relations()
                 ):
                     continue
-                new_output = self._aggregate_output(info, verify_new=True)
+                new_output = self._derive(info.rule, self._states[False], None)
                 old_output = self._agg_output.get(info.index, set())
                 for row in old_output - new_output:
                     count_delta[relation][row] -= 1
@@ -752,35 +805,6 @@ class IncrementalMaintainer:
                 changed[relation] = rows
         return changed
 
-    # -- aggregate rules ---------------------------------------------------
-
-    def _aggregate_output(self, info: _RuleInfo, verify_new: bool) -> RowSet:
-        """Evaluate one aggregate rule's full output set.
-
-        With ``verify_new`` the body solutions are enumerated over the
-        union store and filtered down to the new state, preserving the
-        exact solution *multiset* (wildcards are freshened, so each row
-        combination yields its own binding; the fresh variables are
-        stripped again before aggregation to restore the rule's original
-        grouping semantics).
-        """
-        params = self._engine.parameters
-        solutions: List[Bindings] = []
-        strip = info.fresh_rule is not info.rule
-        for binding in rule_solutions(info.fresh_rule, self._store, params=params):
-            if verify_new and not self._binding_valid(
-                info.fresh_rule, binding, old=False
-            ):
-                continue
-            if strip:
-                binding = {
-                    name: value
-                    for name, value in binding.items()
-                    if not name.startswith(FRESH_PREFIX)
-                }
-            solutions.append(binding)
-        return aggregate_solutions(info.rule, solutions, params=params)
-
     # -- DRed maintenance (recursive strata) -------------------------------
 
     def _maintain_dred(
@@ -799,15 +823,14 @@ class IncrementalMaintainer:
             out: Dict[str, RowSet] = defaultdict(set)
             for info in stratum.infos:
                 relation = info.rule.head.relation
-                for binding in self._candidate_solutions(
-                    info, pos_delta, neg_delta, stats
+                for rule, position, rows in self._delta_variants(
+                    info, pos_delta, neg_delta
                 ):
-                    row = info.head_row(binding)
-                    if row in deleted[relation] or row in out[relation]:
-                        continue
-                    if not store.contains(relation, row):
-                        continue
-                    out[relation].add(row)
+                    for row in self._derive(rule, store, stats, position, rows):
+                        if row not in deleted[relation] and store.contains(
+                            relation, row
+                        ):
+                            out[relation].add(row)
             return out
 
         frontier = over_delete_pass(self._del_delta, self._add_delta)
@@ -820,33 +843,42 @@ class IncrementalMaintainer:
                 self._del_delta.setdefault(relation, set()).update(rows)
 
         # Phase 2 — re-derive: an over-deleted tuple survives if any rule
-        # still derives it from the NEW state (which excludes the tuples
-        # still pending removal).  Each rescued tuple can rescue others, so
-        # iterate to fixpoint.
-        changed = any(deleted.values())
-        while changed:
-            changed = False
-            # Per-pass cache of "what does this rule derive at the new
-            # state" for rules whose heads cannot be inverted.  Rescues
-            # only grow the new state, so a stale entry underestimates and
-            # the next pass recovers it — never the unsound direction.
-            full_eval: Dict[int, RowSet] = {}
-            for relation, rows in deleted.items():
-                for row in list(rows):
-                    if row in self._seed_rows.get(relation, _EMPTY):
-                        rederived = True
-                    else:
-                        rederived = self._derivable_at_new(
-                            stratum, relation, row, full_eval
-                        )
-                    if rederived:
-                        rows.discard(row)
-                        self._del_delta[relation].discard(row)
-                        changed = True
+        # still derives it from the NEW state, the union store minus the
+        # tuples still pending removal.  One round runs each rule once: its
+        # rescue rule with the relation's over-deleted tuples as the delta,
+        # or — for a computed head — the whole rule, intersected with them.
+        # Each rescued tuple can rescue others, so rounds repeat to fixpoint.
+        new_state = self._states[False]
+        for relation, rows in deleted.items():
+            seeded = rows & self._seed_rows.get(relation, _EMPTY)
+            if seeded:
+                rows -= seeded
+                self._del_delta[relation] -= seeded
+        progress = True
+        while progress:
+            progress = False
+            for info in stratum.infos:
+                relation = info.rule.head.relation
+                pending = deleted.get(relation)
+                if not pending:
+                    continue
+                if info.rescue_rule is not None:
+                    rows = self._derive(info.rescue_rule, new_state, stats, 0, pending)
+                else:
+                    rows = self._derive(info.fresh_rule, new_state, stats) & pending
+                if rows:
+                    # Back in the new state at once: later rules of the same
+                    # round already derive from them.
+                    pending -= rows
+                    self._del_delta[relation] -= rows
+                    progress = True
 
         # Phase 3 — insert: semi-naive fixpoint over the additions (and
         # negation releases), verified against the new state.  An addition
-        # that re-derives a still-pending deletion simply rescues it.
+        # that re-derives a still-pending deletion simply rescues it.  This
+        # phase walks bindings: a positivised negation variant binds the
+        # negated atom's existential variables, so its candidates need
+        # per-binding verification rather than a run over the new state.
         def insert_pass(
             pos_delta: Mapping[str, RowSet], neg_delta: Mapping[str, RowSet]
         ) -> Dict[str, RowSet]:
@@ -877,63 +909,3 @@ class IncrementalMaintainer:
                         elif store.add(relation, row):
                             self._add_delta.setdefault(relation, set()).add(row)
             frontier = insert_pass(frontier, {})
-
-    def _derivable_at_new(
-        self,
-        stratum: _StratumInfo,
-        relation: str,
-        row: Row,
-        full_eval: Dict[int, RowSet],
-    ) -> bool:
-        """Backward check: does any rule derive ``row`` at the new state?"""
-        params = self._engine.parameters
-        for info in stratum.infos:
-            if info.rule.head.relation != relation:
-                continue
-            mapping: Dict[str, Const] = {}
-            matches = True
-            invertible = True
-            for term, value in zip(info.fresh_rule.head.terms, row):
-                if isinstance(term, Const):
-                    if term.value != value:
-                        matches = False
-                        break
-                elif isinstance(term, Var):
-                    bound = mapping.get(term.name)
-                    if bound is not None:
-                        if bound.value != value:
-                            matches = False
-                            break
-                    else:
-                        mapping[term.name] = Const(value)
-                elif isinstance(term, Param):
-                    if params.get(term.name, object()) != value:
-                        matches = False
-                        break
-                else:
-                    # Computed head column (arithmetic): not invertible —
-                    # fall back to evaluating the whole rule once.
-                    invertible = False
-                    break
-            if not matches:
-                continue
-            if invertible:
-                # Head-bound evaluation: substitute the tuple's values in
-                # and look for the first body solution valid at new state.
-                bound_rule = info.fresh_rule.substitute(mapping)
-                for binding in rule_solutions(bound_rule, self._store, params=params):
-                    if self._binding_valid(bound_rule, binding, old=False):
-                        return True
-                continue
-            derived = full_eval.get(info.index)
-            if derived is None:
-                derived = set()
-                for binding in rule_solutions(
-                    info.fresh_rule, self._store, params=params
-                ):
-                    if self._binding_valid(info.fresh_rule, binding, old=False):
-                        derived.add(info.head_row(binding))
-                full_eval[info.index] = derived
-            if row in derived:
-                return True
-        return False

@@ -515,14 +515,12 @@ class PlanCache:
     Keys use object identity: the engine owns its program's rule objects for
     its whole lifetime, and identity keeps hashing O(1) regardless of rule
     size.  Rule references are retained so ids cannot be recycled — this
-    also covers the incremental maintainer's synthesised delta-variant
-    rules (candidate and positivised-negation rewrites), which are built
-    once per maintainer and plan through this cache exactly like the
-    program's own rules, drift checks and adaptive re-planning included.
-    Short-lived throwaway rules (e.g. head-bound backward checks during
-    delete-rederive) must NOT plan through the cache: their ids can be
-    recycled after garbage collection — they pass ``plan=None`` to the
-    evaluator instead.
+    also covers the incremental maintainer's synthesised rules (candidate,
+    positivised-negation and DRed rescue rewrites), which are built once
+    per maintainer and plan through this cache exactly like the program's
+    own rules, drift checks and adaptive re-planning included.  A rule
+    built for one call only would pin a cache entry per call, so such
+    rules pass ``plan=None`` to the evaluator instead.
 
     **Adaptive re-planning.**  When :meth:`plan_for` receives a statistics
     snapshot and the cached plan's ``stats_basis`` shows any relation

@@ -38,6 +38,9 @@ evaluation.  It offers the same ``lookup``/``scan`` interface as a stored
 relation (with its own lazily built mini-indexes), so the evaluator can treat
 "read the delta" and "read the full relation" uniformly.  Deltas always stay
 in memory regardless of the backend storing the full relations.
+:class:`StateView` is its counterpart for incremental maintenance: a store
+minus a set of excluded rows, which is how one maintenance pass reads the
+old or the new state out of a store holding both.
 """
 
 from __future__ import annotations
@@ -302,6 +305,54 @@ class DeltaView:
                 index[tuple(row[i] for i in positions_key)].append(row)
             self._indexes[positions_key] = index
         return index.get(tuple(key), ())
+
+
+class StateView:
+    """A read-only view of a store with some rows filtered out.
+
+    Incremental maintenance keeps the store in the *union* of the old and
+    the new state for the length of a pass; the new state is the store
+    minus the rows pending removal, the old state the store minus the rows
+    just added.  A view answers the three reads a rule executor makes —
+    :meth:`lookup`, :meth:`lookup_many` and :meth:`contains` — by filtering
+    the store's answers, so a plan runs unchanged against either state.
+    ``excluded`` (relation → rows) is read live, not copied: rows the
+    caller drops from it reappear in the view at once.
+    """
+
+    __slots__ = ("store", "excluded")
+
+    def __init__(self, store: StoreBackend, excluded: Dict[str, Set[Row]]) -> None:
+        self.store = store
+        self.excluded = excluded
+
+    def contains(self, name: str, row: Row) -> bool:
+        """Return whether ``row`` is in ``name`` and not excluded."""
+        excluded = self.excluded.get(name)
+        if excluded and row in excluded:
+            return False
+        return self.store.contains(name, row)
+
+    def lookup(self, name: str, positions: Sequence[int], key: Key) -> Sequence[Row]:
+        """The store's :meth:`StoreBackend.lookup` minus the excluded rows."""
+        rows = self.store.lookup(name, positions, key)
+        excluded = self.excluded.get(name)
+        if not excluded:
+            return rows
+        return [row for row in rows if row not in excluded]
+
+    def lookup_many(
+        self, name: str, positions: Sequence[int], keys: Sequence[Key]
+    ) -> Dict[Key, Sequence[Row]]:
+        """The store's :meth:`StoreBackend.lookup_many` minus the excluded rows."""
+        result = self.store.lookup_many(name, positions, keys)
+        excluded = self.excluded.get(name)
+        if not excluded:
+            return result
+        return {
+            key: [row for row in rows if row not in excluded]
+            for key, rows in result.items()
+        }
 
 
 class FactStore(StoreBackend):

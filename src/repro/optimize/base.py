@@ -70,29 +70,36 @@ class PassManager:
         self.trace = OptimizationTrace()
 
     def run(self, program: DLIRProgram) -> DLIRProgram:
-        """Apply the pipeline to ``program`` and return the optimized program."""
+        """Apply the pipeline to ``program`` and return the optimized program.
+
+        Iterating, the passes run in order, round after round, until every
+        pass in a row has left the program unchanged: a pass is a function
+        of its input, so one that already saw the current program has
+        nothing more to do, and the fixpoint is reached mid-round.
+        """
         self.trace = OptimizationTrace()
         current = program
+        passes = self._passes
         rounds = self._max_rounds if self._iterate else 1
-        for _ in range(rounds):
-            changed_this_round = False
-            for optimization in self._passes:
-                before = len(current.rules)
-                result = optimization.run(current)
-                after = len(result.rules)
-                changed = result is not current and (
-                    after != before or result.rules != current.rules
+        unchanged = 0
+        for step in range(rounds * len(passes)):
+            optimization = passes[step % len(passes)]
+            before = len(current.rules)
+            result = optimization.run(current)
+            after = len(result.rules)
+            changed = result is not current and (
+                after != before or result.rules != current.rules
+            )
+            self.trace.applications.append(
+                PassApplication(
+                    pass_name=optimization.name,
+                    rules_before=before,
+                    rules_after=after,
+                    changed=changed,
                 )
-                self.trace.applications.append(
-                    PassApplication(
-                        pass_name=optimization.name,
-                        rules_before=before,
-                        rules_after=after,
-                        changed=changed,
-                    )
-                )
-                changed_this_round = changed_this_round or changed
-                current = result
-            if not changed_this_round:
+            )
+            current = result
+            unchanged = 0 if changed else unchanged + 1
+            if unchanged == len(passes):
                 break
         return current

@@ -19,8 +19,9 @@ rules with constants in some argument positions.  The steps are:
 
 The transformation is skipped (returning the program unchanged) whenever it
 cannot be shown safe: no recursion, no bound call-site positions, mutual
-recursion, negation/aggregation/subsumption inside the SCC, or call sites
-whose bound arguments are not constants.
+recursion, negation/aggregation/subsumption inside the SCC, call sites
+whose bound arguments are not constants, or a recursive call whose bound
+arguments are not yet bound where it runs (left to right).
 """
 
 from __future__ import annotations
@@ -142,6 +143,14 @@ class MagicSets(Pass):
         for site in sites:
             seed_terms = tuple(site.terms[index] for index in bound)
             seeds.add(seed_terms)
+        if len(seeds) == 1 and all(
+            tuple(rule.head.terms[index] for index in bound) in seeds
+            for rule in program.rules_for(predicate)
+        ):
+            # Every rule already derives only the one binding called for
+            # (inlining a previous round's magic seed leaves this shape):
+            # the guard would filter nothing.
+            return None
         seed_rules = [
             Rule(head=Atom(magic_name, terms), body=()) for terms in sorted(seeds, key=str)
         ]
@@ -152,7 +161,7 @@ class MagicSets(Pass):
                 continue
             guarded, magic_rules = self._rewrite_rule(rule, predicate, magic_name, bound)
             if guarded is None:
-                return None  # a head bound position is not a plain variable
+                return None  # see _rewrite_rule: no safe magic rewrite
             new_rules.extend(magic_rules)
             new_rules.append(guarded)
 
@@ -185,13 +194,16 @@ class MagicSets(Pass):
                     for term in call_bound_terms
                     for name in term_variables(term)
                 }
-                if call_vars <= known:
-                    magic_rules.append(
-                        Rule(
-                            head=Atom(magic_name, call_bound_terms),
-                            body=tuple(prefix),
-                        )
-                    )
+                if not call_vars <= known:
+                    # The call's bound arguments are not known where it runs,
+                    # so no magic rule can pass its demand on, and the guard
+                    # would cut off the rows the call needs.
+                    return None, []
+                magic_head = Atom(magic_name, call_bound_terms)
+                # A call passing the head's bound arguments straight through
+                # would emit ``M(x̄) :- M(x̄).``, which derives nothing.
+                if not (len(prefix) == 1 and magic_head == guard):
+                    magic_rules.append(Rule(head=magic_head, body=tuple(prefix)))
             prefix.append(literal)
             known.update(self._newly_bound(literal))
         guarded = rule.with_body([guard] + list(rule.body))

@@ -2,6 +2,12 @@
 
 from repro.dlir.builder import ProgramBuilder
 from repro.engines.datalog import DatalogEngine, evaluate_program
+from repro.optimize import (
+    ConstantPropagation,
+    DeadRuleElimination,
+    InlineRules,
+    PassManager,
+)
 from repro.optimize.linearize import LinearizeRecursion
 from repro.optimize.magic_sets import MagicSets
 
@@ -55,6 +61,48 @@ def test_magic_sets_reduces_derived_facts():
     assert engine_magic.query("query").same_rows(engine_full.query("query"))
 
 
+def test_magic_sets_emits_no_tautology():
+    """``tc(x, y) :- tc(x, z), edge(z, y)`` passes the bound ``x`` straight
+    through; its magic rule would be ``Magic_tc(x) :- Magic_tc(x).``"""
+    program = MagicSets().run(_bound_tc_program())
+    for rule in program.rules:
+        assert rule.body != (rule.head,), f"tautological rule {rule}"
+    assert not any(
+        rule.head.relation == "Magic_tc" and not rule.is_fact()
+        for rule in program.rules
+    )
+
+
+def test_magic_sets_skips_predicate_already_specialised_to_its_call():
+    """Once inlining folds the magic seed into the heads (``tc(0, y)``),
+    a second transformation would add a guard that filters nothing."""
+    builder = ProgramBuilder()
+    builder.edb("edge", [("a", "number"), ("b", "number")])
+    builder.idb("tc", [("a", "number"), ("b", "number")])
+    builder.idb("query", [("b", "number")])
+    builder.rule("tc", [0, "y"], [("edge", [0, "y"])])
+    builder.rule("tc", [0, "y"], [("tc", [0, "z"]), ("edge", ["z", "y"])])
+    builder.rule("query", ["y"], [("tc", [0, "y"])])
+    builder.output("query")
+    program = builder.build()
+    assert MagicSets().run(program) is program
+
+
+def test_optimised_bound_tc_reaches_a_fixpoint():
+    """Without the tautology the magic seed is inlined; the pipeline must
+    then settle on the specialised program, not re-apply magic sets."""
+    manager = PassManager(
+        [ConstantPropagation(), InlineRules(), MagicSets(), DeadRuleElimination()],
+        iterate=True,
+    )
+    program = manager.run(_bound_tc_program())
+    assert not manager.trace.applications[-1].changed
+    assert "Magic_tc" not in {rule.head.relation for rule in program.rules}
+    assert evaluate_program(program, _chain_facts(), relation="query").same_rows(
+        evaluate_program(_bound_tc_program(), _chain_facts(), relation="query")
+    )
+
+
 def test_magic_sets_skips_unbound_call_sites():
     builder = ProgramBuilder()
     builder.edb("edge", [("a", "number"), ("b", "number")])
@@ -66,6 +114,26 @@ def test_magic_sets_skips_unbound_call_sites():
     builder.output("query")
     program = builder.build()
     assert MagicSets().run(program) is program
+
+
+def test_magic_sets_skips_call_bound_after_it_runs():
+    """In ``tc(x, y) :- tc(z, y), edge(x, z)`` the call's bound ``z`` is
+    only bound after the call, so no magic rule can pass its demand on;
+    guarding the rule would drop ``tc(0, 2)`` and ``tc(0, 3)``."""
+    builder = ProgramBuilder()
+    builder.edb("edge", [("a", "number"), ("b", "number")])
+    builder.idb("tc", [("a", "number"), ("b", "number")])
+    builder.idb("query", [("b", "number")])
+    builder.rule("tc", ["x", "y"], [("edge", ["x", "y"])])
+    builder.rule("tc", ["x", "y"], [("tc", ["z", "y"]), ("edge", ["x", "z"])])
+    builder.rule("query", ["y"], [("tc", [0, "y"])])
+    builder.output("query")
+    program = builder.build()
+    transformed = MagicSets().run(program)
+    facts = {"edge": [(0, 1), (1, 2), (2, 3)]}
+    assert evaluate_program(transformed, facts, relation="query").same_rows(
+        evaluate_program(program, facts, relation="query")
+    )
 
 
 def test_magic_sets_skips_mutual_recursion():

@@ -52,6 +52,22 @@ def test_pass_manager_stops_early_when_nothing_changes():
     assert counting.calls == 1
 
 
+def test_pass_manager_stops_once_every_pass_saw_the_fixpoint(paper_raqlet):
+    """Inline reaches its fixpoint in its first application: once the
+    counting pass and inline have each seen the result unchanged, nothing
+    is left to run, so the second round stops after inline."""
+    compiled = paper_raqlet.compile_cypher(PAPER_QUERY, optimize=False)
+    counting = _CountingPass()
+    manager = PassManager([InlineRules(), counting], iterate=True)
+    manager.run(compiled.program(optimized=False))
+    assert [application.changed for application in manager.trace.applications] == [
+        True,
+        False,
+        False,
+    ]
+    assert counting.calls == 1
+
+
 def test_trace_reports_rule_reduction(paper_raqlet):
     compiled = paper_raqlet.compile_cypher(PAPER_QUERY, optimize=False)
     program = compiled.program(optimized=False)
